@@ -80,12 +80,7 @@ impl ParsedUnit {
     }
 
     fn build(entry: &str, sources: &SourceSet, listing: bool) -> Result<Self, AsmError> {
-        let pre = crate::preprocess(entry, sources)?;
-        Ok(Self {
-            stmts: parse_statements(&pre.lines, listing)?,
-            equs: pre.equs.iter().cloned().collect(),
-            listing,
-        })
+        Self::from_lines(&crate::preprocess(entry, sources)?, listing)
     }
 
     /// Parses already-preprocessed lines without encoding.
@@ -94,10 +89,14 @@ impl ParsedUnit {
     ///
     /// Returns the first statement-parse error.
     pub fn from_preprocessed(pre: &Preprocessed) -> Result<Self, AsmError> {
+        Self::from_lines(pre, true)
+    }
+
+    pub(crate) fn from_lines(pre: &Preprocessed, listing: bool) -> Result<Self, AsmError> {
         Ok(Self {
-            stmts: parse_statements(&pre.lines, true)?,
+            stmts: parse_statements(&pre.lines, listing)?,
             equs: pre.equs.iter().cloned().collect(),
-            listing: true,
+            listing,
         })
     }
 
@@ -110,20 +109,24 @@ impl ParsedUnit {
     /// out-of-range operands, duplicate labels, or unresolvable
     /// expressions.
     pub fn encode(&self) -> Result<Program, AsmError> {
-        encode_unit(&self.stmts, &self.equs, self.listing)
+        encode_unit([&self.stmts, &[]], self.equs.clone(), self.listing)
     }
 }
 
-fn encode_unit(
-    stmts: &[PStmt],
-    equs: &BTreeMap<String, i64>,
+/// Encodes the concatenation of `parts` (a [`Prelude`](crate::Prelude)'s
+/// statements and a test's) into a program with constants `equs`.
+pub(crate) fn encode_unit(
+    parts: [&[PStmt]; 2],
+    owned_equs: BTreeMap<String, i64>,
     with_listing: bool,
 ) -> Result<Program, AsmError> {
+    let equs = &owned_equs;
+    let stmts = || parts.into_iter().flatten();
     // Pass 1: addresses and labels.
     let mut labels: BTreeMap<String, u32> = BTreeMap::new();
     let mut addr = DEFAULT_ORG;
-    let mut addrs = Vec::with_capacity(stmts.len());
-    for pstmt in stmts {
+    let mut addrs = Vec::with_capacity(parts[0].len() + parts[1].len());
+    for pstmt in stmts() {
         addrs.push(addr);
         match &pstmt.stmt {
             Stmt::Label(name) => {
@@ -193,7 +196,7 @@ fn encode_unit(
         *seg_base = next_base;
     };
 
-    for (pstmt, &stmt_addr) in stmts.iter().zip(&addrs) {
+    for (pstmt, &stmt_addr) in stmts().zip(&addrs) {
         let loc = &pstmt.loc;
         let mut words: Vec<u32> = Vec::new();
         match &pstmt.stmt {
@@ -269,7 +272,7 @@ fn encode_unit(
         segments.push(Segment::new(seg_base, seg_bytes));
     }
 
-    Ok(Program::new(segments, labels, equs.clone(), listing))
+    Ok(Program::new(segments, labels, owned_equs, listing))
 }
 
 /// Evaluates an expression that must be resolvable *at its point of use*
@@ -335,13 +338,16 @@ enum Stmt {
 }
 
 #[derive(Debug, Clone)]
-struct PStmt {
+pub(crate) struct PStmt {
     stmt: Stmt,
     loc: Loc,
     text: String,
 }
 
-fn parse_statements(lines: &[LogicalLine], with_text: bool) -> Result<Vec<PStmt>, AsmError> {
+pub(crate) fn parse_statements(
+    lines: &[LogicalLine],
+    with_text: bool,
+) -> Result<Vec<PStmt>, AsmError> {
     let mut stmts = Vec::new();
     for line in lines {
         // Source text is only consumed by the listing; skip the

@@ -16,6 +16,13 @@
 //!
 //! The top-level [`assemble`] runs the full pipeline.
 //!
+//! Build pipelines that assemble many units sharing one head (every
+//! test cell of an environment includes the same abstraction layer,
+//! runtime and base functions before its test) use a [`Prelude`]: it
+//! preprocesses and parses the shared head once and resumes from it
+//! for each test, with output and errors identical to assembling every
+//! unit whole.
+//!
 //! ```
 //! use advm_asm::{assemble, SourceSet};
 //!
@@ -48,6 +55,7 @@ mod diag;
 mod disasm;
 mod expr;
 mod lexer;
+mod prelude;
 mod preprocess;
 mod program;
 mod source;
@@ -57,6 +65,7 @@ pub use diag::AsmError;
 pub use disasm::{disassemble_range, disassemble_word};
 pub use expr::{eval as eval_expr, free_symbols, parse_all as parse_expr, BinOp, Expr, UnaryOp};
 pub use lexer::{tokenize, Token};
+pub use prelude::Prelude;
 pub use preprocess::{preprocess, LogicalLine, Preprocessed};
 pub use program::{Image, LinkError, ListingEntry, Program, Segment};
 pub use source::{Loc, SourceSet};

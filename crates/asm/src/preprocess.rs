@@ -146,6 +146,60 @@ struct Macro {
     body: Vec<(Vec<Token>, Loc)>,
 }
 
+/// A name table split at a [`Prelude`](crate::Prelude) boundary: the
+/// prelude's entries are shared behind an `Arc`, names defined after the
+/// split go to a local overlay. A plain preprocess only uses the overlay.
+struct Scope<V> {
+    shared: Arc<HashMap<String, V>>,
+    local: HashMap<String, V>,
+}
+
+impl<V> Default for Scope<V> {
+    fn default() -> Self {
+        Self {
+            shared: Arc::default(),
+            local: HashMap::new(),
+        }
+    }
+}
+
+impl<V> Scope<V> {
+    fn get(&self, name: &str) -> Option<&V> {
+        self.local.get(name).or_else(|| self.shared.get(name))
+    }
+
+    fn contains_key(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.local.is_empty() && self.shared.is_empty()
+    }
+
+    /// Defines (or, for aliases, redefines) `name` in the local half.
+    fn insert(&mut self, name: String, value: V) {
+        self.local.insert(name, value);
+    }
+
+    /// Moves every definition into a shared half that resumed scopes
+    /// borrow (see [`Scope::resumed`]).
+    fn freeze(self) -> Self {
+        debug_assert!(self.shared.is_empty(), "a prelude starts from empty scopes");
+        Self {
+            shared: Arc::new(self.local),
+            local: HashMap::new(),
+        }
+    }
+
+    fn resumed(&self) -> Self {
+        Self {
+            shared: Arc::clone(&self.shared),
+            local: HashMap::new(),
+        }
+    }
+}
+
+#[derive(Clone)]
 struct CondFrame {
     /// Whether the current branch emits lines.
     active: bool,
@@ -157,14 +211,52 @@ struct CondFrame {
 
 struct Preprocessor<'a> {
     sources: &'a SourceSet,
+    /// One file served ahead of `sources`: a resumed prelude's test.
+    overlay: Option<(&'a str, &'a str)>,
+    /// While a prelude is built: the file it must not depend on.
+    held: Option<&'a str>,
+    /// Whether the run tried to include `held`.
+    touched_held: bool,
     out: Preprocessed,
-    equs: HashMap<String, i64>,
-    aliases: HashMap<String, Vec<Token>>,
-    macros: HashMap<String, Macro>,
+    st: State,
+}
+
+/// What the preprocessor carries from line to line: the part a prelude
+/// keeps at its split point and every resumption continues from.
+#[derive(Default)]
+struct State {
+    equs: Scope<i64>,
+    aliases: Scope<Vec<Token>>,
+    macros: Scope<Macro>,
     conds: Vec<CondFrame>,
     include_stack: Vec<String>,
     completed_includes: Vec<String>,
     expansions: u64,
+}
+
+impl State {
+    /// Moves every definition into the shared halves of its scopes.
+    fn freeze(self) -> Self {
+        Self {
+            equs: self.equs.freeze(),
+            aliases: self.aliases.freeze(),
+            macros: self.macros.freeze(),
+            ..self
+        }
+    }
+
+    /// A copy to resume from, sharing the frozen definitions.
+    fn resumed(&self) -> Self {
+        Self {
+            equs: self.equs.resumed(),
+            aliases: self.aliases.resumed(),
+            macros: self.macros.resumed(),
+            conds: self.conds.clone(),
+            include_stack: self.include_stack.clone(),
+            completed_includes: self.completed_includes.clone(),
+            expansions: self.expansions,
+        }
+    }
 }
 
 /// Runs the preprocessor over `entry` (and everything it includes).
@@ -175,55 +267,178 @@ struct Preprocessor<'a> {
 /// directive, unbalanced conditionals, duplicate `.EQU`, macro problems or
 /// a triggered `.ERROR`.
 pub fn preprocess(entry: &str, sources: &SourceSet) -> Result<Preprocessed, AsmError> {
-    let mut pp = Preprocessor {
-        sources,
-        out: Preprocessed::default(),
-        equs: HashMap::new(),
-        aliases: HashMap::new(),
-        macros: HashMap::new(),
-        conds: Vec::new(),
-        include_stack: Vec::new(),
-        completed_includes: Vec::new(),
-        expansions: 0,
-    };
-    pp.process_file(entry, None)?;
-    if let Some(_frame) = pp.conds.pop() {
-        return Err(AsmError::general(format!(
-            "unterminated conditional at end of `{entry}` (missing .ENDIF)"
-        )));
-    }
-    Ok(pp.out)
+    preprocess_with(entry, sources, None)
 }
 
-impl Preprocessor<'_> {
+/// [`preprocess`] with `overlay` (a `(name, text)` file) served ahead of
+/// `sources`.
+pub(crate) fn preprocess_with(
+    entry: &str,
+    sources: &SourceSet,
+    overlay: Option<(&str, &str)>,
+) -> Result<Preprocessed, AsmError> {
+    let mut pp = Preprocessor::new(sources, overlay, None, State::default());
+    pp.process_file(entry, None)?;
+    pp.finish(entry)
+}
+
+/// The preprocessor's state at a prelude's split point: everything a
+/// resumed run needs to continue the entry file where the prelude
+/// stopped.
+pub(crate) struct SplitState {
+    entry: String,
+    resume_at: usize,
+    state: State,
+}
+
+/// Why [`preprocess_until`] stopped short of the split point.
+pub(crate) enum NoSplit {
+    /// Preprocessing failed before the split point. The failure cannot
+    /// depend on the held file, so every resumption fails the same way.
+    Failed(AsmError),
+    /// Something before the split point includes the held file, so the
+    /// prelude depends on it and cannot be shared.
+    Dependent,
+}
+
+/// Preprocesses `entry` up to (not including) its final `.INCLUDE held`
+/// line, without reading `held`: the lines and constants so far, and
+/// the state to resume from.
+pub(crate) fn preprocess_until(
+    entry: &str,
+    sources: &SourceSet,
+    held: &str,
+) -> Result<(Preprocessed, SplitState), NoSplit> {
+    let stop = sources.get(entry).map_or(0, |text| {
+        text.lines()
+            .enumerate()
+            .filter(|(_, raw)| is_include_line(raw) && include_path(raw) == held)
+            .map(|(i, _)| i)
+            .last()
+            .unwrap_or(usize::MAX)
+    });
+    let mut pp = Preprocessor::new(sources, None, Some(held), State::default());
+    let resume_at = match pp.open(entry, None) {
+        Ok(text) => {
+            let text = text.expect("nothing completes before the entry opens");
+            pp.process_lines(entry, text, 0, stop)
+        }
+        Err(e) => Err(e),
+    };
+    match resume_at {
+        Err(_) if pp.touched_held => Err(NoSplit::Dependent),
+        Err(e) => Err(NoSplit::Failed(e)),
+        Ok(resume_at) => Ok((
+            pp.out,
+            SplitState {
+                entry: entry.to_owned(),
+                resume_at,
+                state: pp.st.freeze(),
+            },
+        )),
+    }
+}
+
+/// Continues a split entry with `held` (a `(name, text)` file) available,
+/// returning only what was produced after the split point.
+pub(crate) fn resume(
+    split: &SplitState,
+    sources: &SourceSet,
+    held: (&str, &str),
+) -> Result<Preprocessed, AsmError> {
+    let mut pp = Preprocessor::new(sources, Some(held), None, split.state.resumed());
+    let text = pp
+        .source(&split.entry)
+        .expect("a split entry was read before");
+    pp.process_lines(&split.entry, text, split.resume_at, usize::MAX)?;
+    pp.close(&split.entry);
+    pp.finish(&split.entry)
+}
+
+/// The file named by a text-level `.INCLUDE` line (see
+/// [`is_include_line`]); empty when the line names none.
+fn include_path(raw: &str) -> &str {
+    let path = raw.trim()[".INCLUDE".len()..].trim();
+    let path = path.split(';').next().unwrap_or("").trim();
+    path.trim_matches('"').trim()
+}
+
+impl<'a> Preprocessor<'a> {
+    fn new(
+        sources: &'a SourceSet,
+        overlay: Option<(&'a str, &'a str)>,
+        held: Option<&'a str>,
+        st: State,
+    ) -> Self {
+        Self {
+            sources,
+            overlay,
+            held,
+            touched_held: false,
+            out: Preprocessed::default(),
+            st,
+        }
+    }
+
+    fn source(&self, name: &str) -> Option<&'a str> {
+        match self.overlay {
+            Some((file, text)) if file == name => Some(text),
+            _ => self.sources.get(name),
+        }
+    }
+
+    /// Rejects a conditional left open at the end of `entry`.
+    fn finish(self, entry: &str) -> Result<Preprocessed, AsmError> {
+        if !self.st.conds.is_empty() {
+            return Err(AsmError::general(format!(
+                "unterminated conditional at end of `{entry}` (missing .ENDIF)"
+            )));
+        }
+        Ok(self.out)
+    }
+
     fn active(&self) -> bool {
-        self.conds.iter().all(|c| c.active)
+        self.st.conds.iter().all(|c| c.active)
     }
 
     fn process_file(&mut self, name: &str, from: Option<&Loc>) -> Result<(), AsmError> {
+        if let Some(text) = self.open(name, from)? {
+            self.process_lines(name, text, 0, usize::MAX)?;
+            self.close(name);
+        }
+        Ok(())
+    }
+
+    /// Enters `name`: returns its text to process, or `None` when an
+    /// earlier include already completed it.
+    fn open(&mut self, name: &str, from: Option<&Loc>) -> Result<Option<&'a str>, AsmError> {
         // Include-once semantics: a file that was fully processed earlier
         // is skipped, so `Globals.inc` can be included both by the unit
         // prologue and by each test (as the paper's listings do).
-        if self.completed_includes.iter().any(|f| f == name) {
+        if self.st.completed_includes.iter().any(|f| f == name) {
             if from.is_some() && self.active() {
                 self.out.includes.push(name.to_owned());
             }
-            return Ok(());
+            return Ok(None);
         }
-        if self.include_stack.iter().any(|f| f == name) {
+        if self.st.include_stack.iter().any(|f| f == name) {
             let loc = from.cloned().unwrap_or_else(|| Loc::new(name, 0));
             return Err(AsmError::at(
                 loc,
                 format!("include cycle: `{name}` is already being processed"),
             ));
         }
-        if self.include_stack.len() >= MAX_INCLUDE_DEPTH {
+        if self.st.include_stack.len() >= MAX_INCLUDE_DEPTH {
             let loc = from.cloned().unwrap_or_else(|| Loc::new(name, 0));
             return Err(AsmError::at(loc, "include depth limit exceeded"));
         }
-        // Copy the reference so borrowed lines outlive `&mut self` calls.
-        let sources = self.sources;
-        let text = sources.get(name).ok_or_else(|| match from {
+        if self.held == Some(name) {
+            self.touched_held = true;
+            return Err(AsmError::general(format!(
+                "`{name}` is included before the split point"
+            )));
+        }
+        let text = self.source(name).ok_or_else(|| match from {
             Some(loc) => AsmError::at(loc.clone(), format!("include file `{name}` not found")),
             None => AsmError::general(format!("entry file `{name}` not found")),
         })?;
@@ -231,13 +446,31 @@ impl Preprocessor<'_> {
         if from.is_some() && self.active() {
             self.out.includes.push(name.to_owned());
         }
-        self.include_stack.push(name.to_owned());
+        self.st.include_stack.push(name.to_owned());
+        Ok(Some(text))
+    }
+
+    fn close(&mut self, name: &str) {
+        self.st.include_stack.pop();
+        self.st.completed_includes.push(name.to_owned());
+    }
+
+    /// Processes lines `start..` of file `name`, stopping before the
+    /// first line at or past `stop`. Returns the index it stopped at (a
+    /// macro definition may carry it past `stop`).
+    fn process_lines(
+        &mut self,
+        name: &str,
+        text: &str,
+        start: usize,
+        stop: usize,
+    ) -> Result<usize, AsmError> {
         let cached = tokenized(text);
         let lines: Vec<&str> = text.lines().collect();
         // One shared file-name allocation; per-line `Loc`s bump it.
         let file: std::sync::Arc<str> = std::sync::Arc::from(name);
-        let mut i = 0usize;
-        while i < lines.len() {
+        let mut i = start;
+        while i < lines.len() && i < stop {
             let loc = Loc::new(file.clone(), (i + 1) as u32);
             let raw = lines[i];
             let line = &cached.lines[i];
@@ -250,9 +483,7 @@ impl Preprocessor<'_> {
                     if !self.active() {
                         continue;
                     }
-                    let path = raw.trim()[".INCLUDE".len()..].trim();
-                    let path = path.split(';').next().unwrap_or("").trim();
-                    let path = path.trim_matches('"').trim();
+                    let path = include_path(raw);
                     if path.is_empty() {
                         return Err(AsmError::at(loc, ".INCLUDE requires a file name"));
                     }
@@ -284,7 +515,7 @@ impl Preprocessor<'_> {
                         } else {
                             false
                         };
-                        self.conds.push(CondFrame {
+                        self.st.conds.push(CondFrame {
                             active: parent_active && cond,
                             taken: cond,
                             seen_else: false,
@@ -292,8 +523,8 @@ impl Preprocessor<'_> {
                         continue;
                     }
                     ".ELSE" => {
-                        let parent_active = self.conds.iter().rev().skip(1).all(|c| c.active);
-                        let frame = self.conds.last_mut().ok_or_else(|| {
+                        let parent_active = self.st.conds.iter().rev().skip(1).all(|c| c.active);
+                        let frame = self.st.conds.last_mut().ok_or_else(|| {
                             AsmError::at(loc.clone(), ".ELSE without matching .IF")
                         })?;
                         if frame.seen_else {
@@ -305,7 +536,7 @@ impl Preprocessor<'_> {
                         continue;
                     }
                     ".ENDIF" => {
-                        self.conds.pop().ok_or_else(|| {
+                        self.st.conds.pop().ok_or_else(|| {
                             AsmError::at(loc.clone(), ".ENDIF without matching .IF")
                         })?;
                         continue;
@@ -351,21 +582,16 @@ impl Preprocessor<'_> {
                 if !closed {
                     return Err(AsmError::at(loc, format!("macro `{name}` has no .ENDM")));
                 }
-                if self
-                    .macros
-                    .insert(name.clone(), Macro { params, body })
-                    .is_some()
-                {
+                if self.st.macros.contains_key(&name) {
                     return Err(AsmError::at(loc, format!("macro `{name}` redefined")));
                 }
+                self.st.macros.insert(name, Macro { params, body });
                 continue;
             }
 
             self.process_line(tokens, loc, 0)?;
         }
-        self.include_stack.pop();
-        self.completed_includes.push(name.to_owned());
-        Ok(())
+        Ok(i)
     }
 
     /// Handles one active logical line: alias substitution, `.EQU`,
@@ -388,14 +614,14 @@ impl Preprocessor<'_> {
                     format!(".DEFINE {name} requires a replacement"),
                 ));
             }
-            if self.equs.contains_key(&name) {
+            if self.st.equs.contains_key(&name) {
                 return Err(AsmError::at(
                     loc,
                     format!("`{name}` is already defined as an .EQU constant"),
                 ));
             }
             let replacement: Vec<Token> = tokens[2..].to_vec();
-            self.aliases.insert(name, replacement);
+            self.st.aliases.insert(name, replacement);
             return Ok(());
         }
 
@@ -419,18 +645,19 @@ impl Preprocessor<'_> {
                 [Token::Number(n)] => *n,
                 _ => self.eval_expr(&expr_tokens, &loc)?,
             };
-            if self.aliases.contains_key(&name) {
+            if self.st.aliases.contains_key(&name) {
                 return Err(AsmError::at(
                     loc,
                     format!("`{name}` is already defined as a .DEFINE alias"),
                 ));
             }
-            if let Some(old) = self.equs.insert(name.clone(), value) {
+            if let Some(old) = self.st.equs.get(&name) {
                 return Err(AsmError::at(
                     loc,
                     format!("symbol `{name}` redefined by .EQU (was {old}, now {value})"),
                 ));
             }
+            self.st.equs.insert(name.clone(), value);
             self.out.equs.push((name, value));
             return Ok(());
         }
@@ -449,7 +676,7 @@ impl Preprocessor<'_> {
         // Macro invocation: `NAME args` or `label: NAME args`.
         let (label_prefix, rest) = split_label(&tokens);
         if let Some(Token::Ident(head)) = rest.first() {
-            if self.macros.contains_key(head) {
+            if self.st.macros.contains_key(head) {
                 if let Some(label) = label_prefix {
                     self.out.lines.push(LogicalLine {
                         tokens: vec![Token::Ident(label.to_owned()), Token::Punct(':')],
@@ -474,9 +701,13 @@ impl Preprocessor<'_> {
         call_loc: &Loc,
         depth: usize,
     ) -> Result<(), AsmError> {
-        self.expansions += 1;
-        let uniq = self.expansions;
-        let mac = &self.macros[name];
+        self.st.expansions += 1;
+        let uniq = self.st.expansions;
+        let mac = self
+            .st
+            .macros
+            .get(name)
+            .expect("only defined macros expand");
         if args.len() != mac.params.len() {
             return Err(AsmError::at(
                 call_loc.clone(),
@@ -520,17 +751,17 @@ impl Preprocessor<'_> {
 
     fn substitute_aliases(&self, tokens: Vec<Token>) -> Vec<Token> {
         // Most lines reference no alias; skip the rebuild entirely then.
-        if self.aliases.is_empty()
+        if self.st.aliases.is_empty()
             || !tokens
                 .iter()
-                .any(|t| matches!(t, Token::Ident(id) if self.aliases.contains_key(id)))
+                .any(|t| matches!(t, Token::Ident(id) if self.st.aliases.contains_key(id)))
         {
             return tokens;
         }
         let mut out = Vec::with_capacity(tokens.len());
         for t in tokens {
             match &t {
-                Token::Ident(id) => match self.aliases.get(id) {
+                Token::Ident(id) => match self.st.aliases.get(id) {
                     Some(replacement) => out.extend(replacement.iter().cloned()),
                     None => out.push(t),
                 },
@@ -542,7 +773,7 @@ impl Preprocessor<'_> {
 
     fn eval_expr(&self, tokens: &[Token], loc: &Loc) -> Result<i64, AsmError> {
         let expr = expr::parse_all(tokens, loc)?;
-        expr::eval(&expr, loc, &|name| self.equs.get(name).copied())
+        expr::eval(&expr, loc, &|name| self.st.equs.get(name).copied())
     }
 
     fn eval_condition(
@@ -562,7 +793,7 @@ impl Preprocessor<'_> {
                         ))
                     }
                 };
-                let defined = self.equs.contains_key(name) || self.aliases.contains_key(name);
+                let defined = self.st.equs.contains_key(name) || self.st.aliases.contains_key(name);
                 Ok(if directive == ".IFDEF" {
                     defined
                 } else {

@@ -5,17 +5,15 @@
 //! builds *within* one run: jobs with equal content keys share one
 //! assembled image and one predecoded program. Everything still dies
 //! with the campaign, though — the next run of the identical suite
-//! re-assembles, re-links, re-decodes and re-executes every prefix from
-//! scratch. An [`ArtifactStore`] hoists all three artifact kinds out of
-//! the run into a handle that can outlive it:
+//! re-assembles, re-links and re-decodes from scratch. An
+//! [`ArtifactStore`] hoists both artifact kinds out of the run into a
+//! handle that can outlive it:
 //!
 //! * **image slots** — the `Prebuilt { image, DecodedProgram }` pairs,
 //!   keyed by the campaign's content fingerprints (equal keys imply
 //!   equal images, so reuse is sound across jobs and submitters);
 //! * **ES ROM slots** — the shared embedded-software ROM assembly,
-//!   keyed by its source hash;
-//! * **prefix snapshots** — the shared [`PrefixPool`] of fault-free
-//!   prefix machine states, evicted alongside their image.
+//!   keyed by its source hash.
 //!
 //! The store is a bounded LRU: `advm-serve` keeps one for its whole
 //! lifetime, so an unbounded map would grow with every distinct
@@ -27,12 +25,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::campaign::{EsSlot, ImageSlot};
-use crate::prefix::{PrefixPool, DEFAULT_PREFIX_BUDGET};
 
 /// Default image-slot capacity: comfortably holds the standard system
 /// suite across all platforms plus generated-scenario churn, while
@@ -50,11 +46,8 @@ pub struct ArtifactStoreStats {
     pub hits: u64,
     /// Lookups that created a fresh slot.
     pub misses: u64,
-    /// Image slots evicted to stay within capacity (their prefix
-    /// snapshots go with them).
+    /// Image slots evicted to stay within capacity.
     pub evictions: u64,
-    /// `(content key, platform)` prefix snapshots currently resident.
-    pub prefix_entries: usize,
 }
 
 impl ArtifactStoreStats {
@@ -63,13 +56,8 @@ impl ArtifactStoreStats {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"capacity\":{},\"entries\":{},\"hits\":{},\"misses\":{},\
-             \"evictions\":{},\"prefix_entries\":{}}}",
-            self.capacity,
-            self.entries,
-            self.hits,
-            self.misses,
-            self.evictions,
-            self.prefix_entries
+             \"evictions\":{}}}",
+            self.capacity, self.entries, self.hits, self.misses, self.evictions
         )
     }
 }
@@ -136,7 +124,6 @@ pub struct ArtifactStore {
     capacity: usize,
     images: Mutex<Lru<ImageSlot>>,
     es: Mutex<Lru<EsSlot>>,
-    prefix: Arc<PrefixPool>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -162,30 +149,16 @@ impl Default for ArtifactStore {
 }
 
 impl ArtifactStore {
-    /// A store holding at most `capacity` image slots (minimum 1), with
-    /// a [`DEFAULT_PREFIX_BUDGET`]-instruction prefix pool.
+    /// A store holding at most `capacity` image slots (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        Self::with_prefix_budget(capacity, DEFAULT_PREFIX_BUDGET)
-    }
-
-    /// A store whose shared prefix pool snapshots after `prefix_budget`
-    /// instructions.
-    pub fn with_prefix_budget(capacity: usize, prefix_budget: u64) -> Self {
         Self {
             capacity: capacity.max(1),
             images: Mutex::new(Lru::new()),
             es: Mutex::new(Lru::new()),
-            prefix: Arc::new(PrefixPool::new(prefix_budget)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// The shared prefix pool, kept alive (and evicted) with the image
-    /// slots.
-    pub fn prefix_pool(&self) -> &Arc<PrefixPool> {
-        &self.prefix
     }
 
     /// Image slots currently resident.
@@ -209,10 +182,8 @@ impl ArtifactStore {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            while let Some(evicted) = images.evict_past(self.capacity) {
+            while images.evict_past(self.capacity).is_some() {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                // The snapshots forked off an image die with it.
-                self.prefix.evict_content_key(evicted);
             }
         }
         (slot, existed)
@@ -236,24 +207,21 @@ impl ArtifactStore {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            prefix_entries: self.prefix.len(),
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     #[test]
-    fn lru_evicts_oldest_key_and_its_prefixes() {
+    fn lru_evicts_oldest_key() {
         let store = ArtifactStore::new(2);
         let (_, hit) = store.image_slot(1);
         assert!(!hit);
-        store
-            .prefix_pool()
-            .slot(1, advm_soc::PlatformId::GoldenModel);
-        assert_eq!(store.prefix_pool().len(), 1);
         store.image_slot(2);
         // Touch key 1 so key 2 is the LRU victim.
         let (_, hit) = store.image_slot(1);
@@ -262,12 +230,11 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 1);
-        // Key 2 was evicted; key 1 (and its prefix snapshot) survives.
-        assert_eq!(store.prefix_pool().len(), 1);
+        // Key 2 was evicted; key 1 survives.
+        let (_, hit) = store.image_slot(1);
+        assert!(hit, "the refreshed key stays resident");
         let (_, hit) = store.image_slot(2);
         assert!(!hit, "evicted key re-enters as a miss");
-        // Re-admitting key 2 evicted key 1, dropping its snapshot too.
-        assert_eq!(store.prefix_pool().len(), 0);
     }
 
     #[test]

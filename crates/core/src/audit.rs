@@ -570,12 +570,11 @@ impl FaultAudit {
     }
 
     /// Attaches a shared [`ArtifactStore`] to every campaign the sweep
-    /// runs: builds, predecode artifacts and prefix snapshots are
-    /// reused across the whole matrix *and* across audits sharing the
-    /// store. With a store attached its prefix pool replaces the
-    /// sweep-local one ([`FaultAudit::prefix_budget`] is superseded by
-    /// the store's). Detection matrices and kill counts are identical
-    /// with or without a store.
+    /// runs: builds and predecode artifacts are reused across the whole
+    /// matrix *and* across audits sharing the store. The store holds no
+    /// prefix snapshots: with [`FaultAudit::fork_prefix`] on, the sweep
+    /// forks from its own sweep-local pool either way. Detection
+    /// matrices and kill counts are identical with or without a store.
     pub fn artifact_store(mut self, store: Arc<ArtifactStore>) -> Self {
         self.artifact_store = Some(store);
         self
@@ -758,9 +757,8 @@ impl FaultAudit {
         // over. The fault-free baselines are excluded — they are run
         // once anyway, and they are what the snapshots must be proven
         // against.
-        // With a shared store attached, its own pool plays this role
-        // (and outlives the sweep); a sweep-local pool would shadow it.
-        let pool = (self.fork_prefix && self.artifact_store.is_none())
+        let pool = self
+            .fork_prefix
             .then(|| Arc::new(PrefixPool::new(self.prefix_budget)));
         let mut perf = CampaignPerf::default();
         let suite_baseline = self.baseline(&self.suite, &[])?;

@@ -7,9 +7,14 @@
 //! assembled separately (it is global-layer code delivered by another
 //! team) and merged at image level — overlap is a build error.
 
-use advm_asm::{assemble, AsmError, Image, Program, SourceSet};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use advm_asm::{assemble, AsmError, Image, ParsedUnit, Prelude, Program, SourceSet};
 use advm_sim::{Platform, PlatformFault, RunResult};
 use advm_soc::{Derivative, EsRom};
+use parking_lot::Mutex;
 
 use crate::env::{ModuleTestEnv, BASE_FUNCTIONS_FILE, GLOBALS_FILE, TEST_SOURCE_FILE};
 use crate::runtime::{
@@ -35,9 +40,16 @@ pub fn unit_sources(env: &ModuleTestEnv, cell_id: &str) -> Result<SourceSet, Asm
             env.name()
         ))
     })?;
+    Ok(shared_sources(env, &format!("{}/{cell_id}", env.name()))
+        .with(TEST_SOURCE_FILE, cell.source()))
+}
+
+/// Every file of a unit except the test, with the wrapper's header
+/// comment naming `label`.
+fn shared_sources(env: &ModuleTestEnv, label: &str) -> SourceSet {
     let unit = format!(
         "\
-;; {UNIT_FILE} — generated build wrapper for {env_name}/{cell_id}
+;; {UNIT_FILE} — generated build wrapper for {label}
 .INCLUDE {GLOBALS_FILE}
 .ORG 0x0
 .INCLUDE {VECTOR_TABLE_FILE}
@@ -47,16 +59,110 @@ pub fn unit_sources(env: &ModuleTestEnv, cell_id: &str) -> Result<SourceSet, Asm
 .INCLUDE {BASE_FUNCTIONS_FILE}
 .INCLUDE {TEST_SOURCE_FILE}
 ",
-        env_name = env.name(),
         stub = startup_stub(),
     );
-    Ok(SourceSet::new()
+    SourceSet::new()
         .with(UNIT_FILE, unit)
         .with(GLOBALS_FILE, env.globals_text())
         .with(BASE_FUNCTIONS_FILE, env.base_functions_text())
         .with(VECTOR_TABLE_FILE, vector_table())
         .with(TRAP_HANDLERS_FILE, trap_handlers())
-        .with(TEST_SOURCE_FILE, cell.source()))
+}
+
+/// The unit files every cell of `env` shares: [`unit_sources`] without
+/// the test. They depend on nothing but `env`'s `Globals.inc` and
+/// `Base_Functions.asm` (the wrapper's header comment names no cell).
+pub(crate) fn prelude_sources(env: &ModuleTestEnv) -> SourceSet {
+    shared_sources(env, "every cell")
+}
+
+/// Lazily parsed unit [`Prelude`]s, one slot per distinct set of
+/// prelude inputs. A batch of builds (a campaign's build phase, a fuzz
+/// run's mining pass) plans its slots up front; the first build that
+/// needs a slot parses it, and every later build of the slot preprocesses
+/// and parses only its test. A slot whose planned builds
+/// ([`Preludes::expect`]) have all run drops its prelude.
+#[derive(Default)]
+pub(crate) struct Preludes {
+    /// Hash of (`Globals.inc`, `Base_Functions.asm`) → slot index.
+    by_inputs: HashMap<u64, usize>,
+    slots: Vec<PreludeSlot>,
+    parsed: AtomicUsize,
+}
+
+struct PreludeSlot {
+    sources: SourceSet,
+    prelude: Mutex<Option<Arc<Prelude>>>,
+    /// Planned builds that have not run yet.
+    pending: AtomicUsize,
+}
+
+impl Preludes {
+    /// The slot for `env`'s prelude inputs, shared with every earlier
+    /// env whose inputs are equal.
+    pub(crate) fn shared(&mut self, env: &ModuleTestEnv) -> usize {
+        let key = [env.globals_text(), env.base_functions_text()]
+            .iter()
+            .fold(0, |hash, text| {
+                crate::campaign::fnv1a(crate::campaign::fnv1a(hash, text.as_bytes()), b"\0")
+            });
+        match self.by_inputs.get(&key) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.fresh(env);
+                self.by_inputs.insert(key, slot);
+                slot
+            }
+        }
+    }
+
+    /// A slot of `env`'s own, shared with nobody (the uncached build).
+    pub(crate) fn fresh(&mut self, env: &ModuleTestEnv) -> usize {
+        self.slots.push(PreludeSlot {
+            sources: prelude_sources(env),
+            prelude: Mutex::new(None),
+            pending: AtomicUsize::new(0),
+        });
+        self.slots.len() - 1
+    }
+
+    /// Plans one build on `slot`: the slot keeps its prelude until every
+    /// planned build has run. Slots with no planned build keep theirs
+    /// until the batch drops.
+    pub(crate) fn expect(&self, slot: usize) {
+        self.slots[slot].pending.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Assembles the unit of `slot`'s prelude and `test` without a
+    /// listing: the same program and errors as assembling
+    /// [`unit_sources`] whole.
+    pub(crate) fn assemble(&self, slot: usize, test: &str) -> Result<Program, AsmError> {
+        let slot = &self.slots[slot];
+        let prelude = Arc::clone(slot.prelude.lock().get_or_insert_with(|| {
+            self.parsed.fetch_add(1, Ordering::Relaxed);
+            Arc::new(Prelude::new(UNIT_FILE, &slot.sources, TEST_SOURCE_FILE))
+        }));
+        let program = prelude.assemble(test);
+        let last = slot
+            .pending
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+        if last == Ok(1) {
+            *slot.prelude.lock() = None;
+        }
+        program
+    }
+
+    /// Preludes parsed so far.
+    pub(crate) fn parsed(&self) -> usize {
+        self.parsed.load(Ordering::Relaxed)
+    }
+}
+
+/// Assembles a standalone source, as [`advm_asm::assemble_str`] does,
+/// without building the listing.
+pub(crate) fn assemble_lean(text: &str) -> Result<Program, AsmError> {
+    let sources = SourceSet::new().with("<input>", text);
+    ParsedUnit::parse_lean("<input>", &sources)?.encode()
 }
 
 /// Assembles one cell into its unit program.
@@ -174,6 +280,36 @@ mod tests {
             EnvConfig::new(DerivativeId::Sc88A, PlatformId::GoldenModel),
             vec![TestCell::new("TEST_ONE", "demo", source)],
         )
+    }
+
+    #[test]
+    fn shared_preludes_assemble_every_standard_unit_like_whole_units() {
+        let mut units = 0;
+        for derivative in DerivativeId::ALL {
+            let config = EnvConfig::new(derivative, PlatformId::GoldenModel);
+            let mut preludes = Preludes::default();
+            for env in crate::presets::standard_system(config) {
+                for platform in PlatformId::ALL {
+                    let mut ported = env.clone();
+                    ported.reconfigure(EnvConfig {
+                        platform,
+                        ..env.config()
+                    });
+                    let slot = preludes.shared(&ported);
+                    for cell in ported.cells() {
+                        let sources = unit_sources(&ported, cell.id()).unwrap();
+                        let whole = ParsedUnit::parse_lean(UNIT_FILE, &sources)
+                            .and_then(|unit| unit.encode())
+                            .unwrap();
+                        let shared = preludes.assemble(slot, cell.source()).unwrap();
+                        assert_eq!(shared, whole, "{}/{} on {platform}", env.name(), cell.id());
+                        units += 1;
+                    }
+                }
+            }
+            assert!(preludes.parsed() < 48, "preludes are shared across envs");
+        }
+        assert_eq!(units, 720);
     }
 
     #[test]

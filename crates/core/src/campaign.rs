@@ -17,7 +17,16 @@
 //!   platforms with the same abstraction-layer knobs) share one build.
 //!   The key hashes only content that can reach the emitted image:
 //!   comments are ignored, and `Globals.inc` defines count only when the
-//!   rest of the unit references them.
+//!   rest of the unit references them. Planning fingerprints the files
+//!   an environment's cells share once per environment and indexes each
+//!   (environment, platform) `Globals.inc` once, so a job's key is a walk
+//!   over that index.
+//! * **Shared preludes.** Every unit is one wrapper, abstraction layer,
+//!   runtime and base-function library followed by one test. The build
+//!   phase preprocesses and parses that prelude once per distinct
+//!   `Globals.inc`/`Base_Functions.asm` pair ([`advm_asm::Prelude`]) and
+//!   each build then parses only its test; a prelude is dropped after its
+//!   last planned build.
 //! * **Event streaming.** Typed [`CampaignEvent`]s (job started / built /
 //!   finished, planned cache hits, divergences) stream to pluggable
 //!   [`CampaignObserver`]s while the campaign runs.
@@ -54,13 +63,13 @@
 //! # }
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use advm_asm::{AsmError, Image, SourceSet};
+use advm_asm::{AsmError, Image};
 use advm_fuzz::TraceAssertion;
 use advm_gen::{Scenario, ScenarioMeta};
 use advm_metrics::Table;
@@ -73,7 +82,7 @@ use advm_soc::{Derivative, DerivativeId, PlatformId};
 use parking_lot::Mutex;
 
 use crate::artifacts::ArtifactStore;
-use crate::build::{es_rom_source, link_programs, unit_sources};
+use crate::build::{assemble_lean, es_rom_source, link_programs, Preludes};
 use crate::env::{EnvConfig, ModuleTestEnv, GLOBALS_FILE};
 use crate::prefix::{PrefixEntry, PrefixPool};
 
@@ -658,6 +667,12 @@ pub struct CampaignPerf {
     /// with) *other* campaigns. Zero without a store attached; nonzero
     /// on a warm run against a resident daemon.
     pub artifact_hits: u64,
+    /// Unit preludes (the shared head of every cell's unit: abstraction
+    /// layer, runtime and base functions) the build phase preprocessed
+    /// and parsed. At most one per distinct set of prelude inputs with
+    /// the build cache on, one per assembled job with it off, and zero
+    /// when every image came from an [`ArtifactStore`].
+    pub preludes: u64,
     /// Wall-clock time of the build phase: scenario materialisation,
     /// job planning and every image assembly (the front-end runs on the
     /// worker pool, see [`Campaign::parallel_frontend`]).
@@ -707,6 +722,7 @@ impl CampaignPerf {
         self.prefix_saved += other.prefix_saved;
         self.forked_runs += other.forked_runs;
         self.artifact_hits += other.artifact_hits;
+        self.preludes += other.preludes;
         self.build_wall += other.build_wall;
         self.exec_wall += other.exec_wall;
         self.report_wall += other.report_wall;
@@ -719,7 +735,7 @@ impl CampaignPerf {
              \"decode_hits\":{},\"decode_misses\":{},\"decode_preloaded\":{},\
              \"decode_hit_rate\":{:.4},\"blocks_built\":{},\
              \"block_dispatches\":{},\"block_insns\":{},\"prefix_saved\":{},\
-             \"forked_runs\":{},\"artifact_hits\":{},\"build_wall_ms\":{:.3},\
+             \"forked_runs\":{},\"artifact_hits\":{},\"preludes\":{},\"build_wall_ms\":{:.3},\
              \"exec_wall_ms\":{:.3},\"report_wall_ms\":{:.3}}}",
             self.instructions,
             self.wall.as_secs_f64() * 1e3,
@@ -734,6 +750,7 @@ impl CampaignPerf {
             self.prefix_saved,
             self.forked_runs,
             self.artifact_hits,
+            self.preludes,
             self.build_wall.as_secs_f64() * 1e3,
             self.exec_wall.as_secs_f64() * 1e3,
             self.report_wall.as_secs_f64() * 1e3
@@ -1103,7 +1120,7 @@ pub(crate) use crate::wire::json_string;
 /// FNV-1a, the build cache's content hash: deterministic across runs,
 /// platforms and worker counts (unlike `DefaultHasher`, whose keys are
 /// unspecified).
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     let mut hash = if seed == 0 {
         0xcbf2_9ce4_8422_2325
     } else {
@@ -1116,19 +1133,10 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Collects the identifier tokens of one line into `out`.
-fn collect_tokens(line: &str, out: &mut std::collections::HashSet<String>) {
-    let mut token = String::new();
-    for c in line.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' {
-            token.push(c);
-        } else if !token.is_empty() {
-            out.insert(std::mem::take(&mut token));
-        }
-    }
-    if !token.is_empty() {
-        out.insert(token);
-    }
+/// The identifier tokens of one line.
+fn tokens(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|token| !token.is_empty())
 }
 
 /// Whether a line is pure comment or blank (cannot reach the image).
@@ -1137,30 +1145,36 @@ fn is_inert_line(line: &str) -> bool {
     trimmed.is_empty() || trimmed.starts_with(';')
 }
 
-/// The platform-invariant half of a cell's content key: the hash of
-/// every non-comment line of the unit sources *except* `Globals.inc`
-/// (the one file re-targeting regenerates), plus the ES ROM source, plus
-/// the set of identifier tokens those lines reference. Computed once per
-/// (environment, cell) and reused across every target platform.
-struct CellFingerprint {
-    invariant_hash: u64,
-    referenced: std::collections::HashSet<String>,
+/// Hashes the non-comment lines of `text` onto `hash`, collecting their
+/// identifier tokens into `referenced`.
+fn fingerprint_text<'t>(mut hash: u64, text: &'t str, referenced: &mut HashSet<&'t str>) -> u64 {
+    for line in text.lines().filter(|l| !is_inert_line(l)) {
+        referenced.extend(tokens(line));
+        hash = fnv1a(hash, line.as_bytes());
+        hash = fnv1a(hash, b"\n");
+    }
+    hash
 }
 
-impl CellFingerprint {
-    fn new(sources: &SourceSet, es_source: &str) -> Self {
-        let mut referenced = std::collections::HashSet::new();
+/// The content-key inputs every cell of one environment shares: the
+/// hash of every non-comment line of the unit files other than
+/// `Globals.inc` (the one file re-targeting regenerates) and the test,
+/// plus the ES ROM source, and the identifier tokens those lines
+/// reference. Computed once per environment, reused by every cell and
+/// target platform.
+struct SharedFingerprint {
+    hash: u64,
+    referenced: HashSet<String>,
+}
+
+impl SharedFingerprint {
+    fn new(env: &ModuleTestEnv, es_source: &str) -> Self {
+        let sources = crate::build::prelude_sources(env);
+        let mut referenced = HashSet::new();
         let mut hash = 0;
-        for (name, text) in sources.iter() {
-            if name == GLOBALS_FILE {
-                continue;
-            }
+        for (name, text) in sources.iter().filter(|(name, _)| *name != GLOBALS_FILE) {
             hash = fnv1a(hash, name.as_bytes());
-            for line in text.lines().filter(|l| !is_inert_line(l)) {
-                collect_tokens(line, &mut referenced);
-                hash = fnv1a(hash, line.as_bytes());
-                hash = fnv1a(hash, b"\n");
-            }
+            hash = fingerprint_text(hash, text, &mut referenced);
         }
         hash = fnv1a(hash, b"\x00es\x00");
         for line in es_source.lines().filter(|l| !is_inert_line(l)) {
@@ -1168,60 +1182,122 @@ impl CellFingerprint {
             hash = fnv1a(hash, b"\n");
         }
         Self {
-            invariant_hash: hash,
-            referenced,
+            hash,
+            referenced: referenced.into_iter().map(str::to_owned).collect(),
         }
     }
+}
 
-    /// Completes the content key against one platform's generated
-    /// `Globals.inc`.
-    ///
-    /// The key must be *sound*: equal keys must imply equal images.
-    /// `Globals.inc` is a pure define file, so a define can only reach
-    /// the emitted image if the rest of the unit mentions its name; only
-    /// those live defines are hashed. A platform-independent cell
-    /// therefore keys identically on two platforms whose referenced
-    /// abstraction-layer knobs agree, and the campaign assembles it once.
-    fn content_key(&self, globals_text: &str) -> u64 {
-        // Parse the define list: `NAME .EQU value` puts the name first,
-        // `.DEFINE NAME value` puts it second.
-        let defines: Vec<(&str, &str)> = globals_text
-            .lines()
-            .filter(|l| !is_inert_line(l))
-            .map(|line| {
-                let mut words = line.split_whitespace();
-                let first = words.next().unwrap_or("");
-                let defined = if first.eq_ignore_ascii_case(".DEFINE") {
-                    words.next().unwrap_or("")
-                } else {
-                    first
-                };
-                (defined, line)
-            })
-            .collect();
-        // A define is live if the unit references its name — directly,
-        // or transitively through another live define's value expression
-        // (the assembler resolves symbolic `.EQU` expressions, so a live
-        // define's value tokens are references too).
-        let mut live = vec![false; defines.len()];
-        let mut extra: std::collections::HashSet<String> = std::collections::HashSet::new();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (i, (name, line)) in defines.iter().enumerate() {
-                if !live[i] && (self.referenced.contains(*name) || extra.contains(*name)) {
-                    live[i] = true;
-                    collect_tokens(line, &mut extra);
-                    changed = true;
+/// A cell's own content-key inputs: its test's hash and the identifier
+/// tokens the test references.
+struct TestFingerprint<'t> {
+    hash: u64,
+    referenced: Vec<&'t str>,
+}
+
+impl<'t> TestFingerprint<'t> {
+    fn new(source: &'t str) -> Self {
+        let mut referenced = HashSet::new();
+        let hash = fingerprint_text(0, source, &mut referenced);
+        Self {
+            hash,
+            referenced: referenced.into_iter().collect(),
+        }
+    }
+}
+
+/// One (environment, platform) `Globals.inc`, indexed once for every
+/// cell's content key: its define lines and each define name's lines. A
+/// define's references to other defines are read when it turns live.
+///
+/// The key must be *sound*: equal keys must imply equal images.
+/// `Globals.inc` is a pure define file, so a define can only reach the
+/// emitted image if the rest of the unit mentions its name; only those
+/// live defines are hashed. A define is live if the unit references its
+/// name directly, or transitively through another live define's value
+/// expression (the assembler resolves symbolic `.EQU` expressions, so a
+/// live define's value tokens are references too). A
+/// platform-independent cell therefore keys identically on two
+/// platforms whose referenced abstraction-layer knobs agree, and the
+/// campaign assembles it once.
+struct GlobalsIndex<'g> {
+    /// Non-comment lines, in order.
+    lines: Vec<&'g str>,
+    /// Define name → the lines defining it. `NAME .EQU value` puts the
+    /// name first, `.DEFINE NAME value` puts it second.
+    defining: HashMap<&'g str, Vec<usize>>,
+}
+
+impl<'g> GlobalsIndex<'g> {
+    fn new(globals_text: &'g str) -> Self {
+        let lines: Vec<&str> = globals_text.lines().filter(|l| !is_inert_line(l)).collect();
+        let mut defining: HashMap<&str, Vec<usize>> = HashMap::new();
+        for (i, line) in lines.iter().enumerate() {
+            let mut words = line.split_whitespace();
+            let first = words.next().unwrap_or("");
+            let name = if first.eq_ignore_ascii_case(".DEFINE") {
+                words.next().unwrap_or("")
+            } else {
+                first
+            };
+            defining.entry(name).or_default().push(i);
+        }
+        Self { lines, defining }
+    }
+
+    /// Live flags of the defines `shared` reaches: the part of every
+    /// cell's live set its environment's shared files contribute.
+    fn shared_live(&self, shared: &SharedFingerprint) -> Vec<bool> {
+        let mut live = vec![false; self.lines.len()];
+        let names = self
+            .defining
+            .keys()
+            .copied()
+            .filter(|name| shared.referenced.contains(*name));
+        self.mark(names, &mut live);
+        live
+    }
+
+    /// Marks live every define of `names`, and every define a live
+    /// define's line mentions.
+    fn mark<'n>(&self, names: impl Iterator<Item = &'n str>, live: &mut [bool]) {
+        let mut stack: Vec<usize> = Vec::new();
+        let reach = |name: &str, live: &mut [bool], stack: &mut Vec<usize>| {
+            for &line in self.defining.get(name).into_iter().flatten() {
+                if !live[line] {
+                    live[line] = true;
+                    stack.push(line);
+                }
+            }
+        };
+        for name in names {
+            reach(name, live, &mut stack);
+            while let Some(line) = stack.pop() {
+                for token in tokens(self.lines[line]) {
+                    reach(token, live, &mut stack);
                 }
             }
         }
-        let mut hash = self.invariant_hash;
-        for (i, (_, line)) in defines.iter().enumerate() {
-            if live[i] {
-                hash = fnv1a(hash, line.as_bytes());
-                hash = fnv1a(hash, b"\n");
-            }
+    }
+
+    /// Completes a cell's content key: its shared and test hashes plus
+    /// every live define line of this `Globals.inc`.
+    fn content_key(
+        &self,
+        shared: &SharedFingerprint,
+        shared_live: &[bool],
+        test: &TestFingerprint<'_>,
+    ) -> u64 {
+        let mut live = shared_live.to_vec();
+        self.mark(test.referenced.iter().copied(), &mut live);
+        let seed = fnv1a(shared.hash, &test.hash.to_le_bytes());
+        self.hash_live(seed, &live)
+    }
+
+    fn hash_live(&self, mut hash: u64, live: &[bool]) -> u64 {
+        for (line, _) in self.lines.iter().zip(live).filter(|(_, live)| **live) {
+            hash = fnv1a(hash, line.as_bytes());
+            hash = fnv1a(hash, b"\n");
         }
         hash
     }
@@ -1255,7 +1331,10 @@ struct Job {
     platform: PlatformId,
     /// Provenance of the scenario whose stimulus this job runs, if any.
     scenario: Option<Arc<ScenarioMeta>>,
-    sources: SourceSet,
+    /// The job's slot in the campaign's [`Preludes`].
+    prelude: usize,
+    /// The cell's test source, shared by every platform's job.
+    test_source: Arc<str>,
     es_source: Arc<str>,
     derivative: Arc<Derivative>,
     fault: PlatformFault,
@@ -1273,24 +1352,20 @@ struct Job {
 }
 
 impl Job {
-    /// Assembles this job's image: unit from its sources, ES ROM from
-    /// the shared slot, linked together — then predecodes it once for
-    /// every platform the content key covers. Runs on the build pool,
-    /// at most once per image slot.
+    /// Assembles this job's image: the unit from its shared prelude and
+    /// its test, the ES ROM from the shared slot, linked together — then
+    /// predecodes it once for every platform the content key covers.
+    /// Runs on the build pool, at most once per image slot.
     ///
-    /// Both assemblies use the lean parse/encode split: the campaign
-    /// only links the programs, so the human-readable listing is never
-    /// built. Emitted bytes and diagnostics are identical to
-    /// [`advm_asm::assemble`].
-    fn build(&self, decode: bool) -> Result<Prebuilt, AsmError> {
-        let unit =
-            advm_asm::ParsedUnit::parse_lean(crate::build::UNIT_FILE, &self.sources)?.encode()?;
+    /// Both assemblies skip the human-readable listing: the campaign
+    /// only links the programs. Emitted bytes and diagnostics are
+    /// identical to [`advm_asm::assemble`] over the cell's
+    /// [`unit_sources`](crate::build::unit_sources).
+    fn build(&self, preludes: &Preludes, decode: bool) -> Result<Prebuilt, AsmError> {
+        let unit = preludes.assemble(self.prelude, &self.test_source)?;
         let es = self
             .es_slot
-            .get_or_init(|| {
-                let sources = SourceSet::new().with("<input>", &*self.es_source);
-                advm_asm::ParsedUnit::parse_lean("<input>", &sources)?.encode()
-            })
+            .get_or_init(|| assemble_lean(&self.es_source))
             .as_ref()
             .map_err(Clone::clone)?;
         let image = link_programs(&unit, es)?;
@@ -1565,17 +1640,18 @@ impl Campaign {
     }
 
     /// Attaches a shared [`ArtifactStore`]: build slots (images and
-    /// their predecode artifacts, the ES ROM) and prefix snapshots are
-    /// looked up in — and retained by — the store, so identical content
-    /// keys are reused *across* campaigns sharing the store (a resident
-    /// daemon's warm runs skip assembly entirely). Requires the build
-    /// cache; with the cache disabled the store is ignored. Reuse is
-    /// perf-only: verdicts, matrices, divergences and the report-level
+    /// their predecode artifacts, the ES ROM) are looked up in — and
+    /// retained by — the store, so identical content keys are reused
+    /// *across* campaigns sharing the store (a resident daemon's warm
+    /// runs skip assembly entirely). Requires the build cache; with the
+    /// cache disabled the store is ignored. Reuse is perf-only:
+    /// verdicts, matrices, divergences and the report-level
     /// `cache_hits`/`unique_builds` counters are identical with or
     /// without a store — only the
     /// [`artifact_hits`](CampaignPerf::artifact_hits) perf counter and
-    /// wall time change. The store's own [`PrefixPool`] is used unless
-    /// [`Campaign::prefix_pool`] set an explicit one.
+    /// wall time change. The store holds no machine state: without an
+    /// explicit [`Campaign::prefix_pool`], every job runs from reset on
+    /// its worker's pooled machine.
     pub fn artifact_store(mut self, store: Arc<ArtifactStore>) -> Self {
         self.artifact_store = Some(store);
         self
@@ -1684,6 +1760,10 @@ impl Campaign {
         // campaign reuse, never within-campaign re-requests.
         let mut slots: HashMap<u64, (ImageSlot, bool)> = HashMap::new();
         let mut es_slots: HashMap<u64, EsSlot> = HashMap::new();
+        // One lazily parsed prelude per distinct set of prelude inputs,
+        // alive until the build phase ends. Without the cache every job
+        // parses its own.
+        let mut preludes = Preludes::default();
         let mut cache_hits = 0;
         let mut artifact_hits: u64 = 0;
         let store = self
@@ -1703,22 +1783,15 @@ impl Campaign {
                     None => EsSlot::default(),
                 }))
             });
-            // Platform-invariant fingerprints: one pass over each cell's
-            // sources, reused by every target platform below.
-            let fingerprints: Vec<CellFingerprint> = if self.cache {
+            // Test cells are never touched by re-targeting: one source
+            // (and one fingerprint) per cell serves every platform.
+            let tests: Vec<Arc<str>> = env.cells().iter().map(|c| c.source().into()).collect();
+            let shared = self.cache.then(|| SharedFingerprint::new(env, &es_source));
+            let fingerprints: Vec<TestFingerprint<'_>> = if self.cache {
                 env.cells()
                     .iter()
-                    .map(|cell| {
-                        unit_sources(env, cell.id())
-                            .map(|sources| CellFingerprint::new(&sources, &es_source))
-                            .map_err(|source| CampaignError::Build {
-                                env: env.name().to_owned(),
-                                test_id: cell.id().to_owned(),
-                                platform: env.config().platform,
-                                source,
-                            })
-                    })
-                    .collect::<Result<_, _>>()?
+                    .map(|cell| TestFingerprint::new(cell.source()))
+                    .collect()
             } else {
                 Vec::new()
             };
@@ -1732,18 +1805,16 @@ impl Campaign {
                     Some((p, f)) if p == platform => f,
                     _ => PlatformFault::None,
                 };
+                let globals = shared.as_ref().map(|shared| {
+                    let index = GlobalsIndex::new(ported.globals_text());
+                    let live = index.shared_live(shared);
+                    (shared, index, live)
+                });
+                let shared_prelude = self.cache.then(|| preludes.shared(&ported));
                 for (cell_idx, cell) in ported.cells().iter().enumerate() {
-                    let sources = unit_sources(&ported, cell.id()).map_err(|source| {
-                        CampaignError::Build {
-                            env: ported.name().to_owned(),
-                            test_id: cell.id().to_owned(),
-                            platform,
-                            source,
-                        }
-                    })?;
-                    let content_key = self
-                        .cache
-                        .then(|| fingerprints[cell_idx].content_key(ported.globals_text()));
+                    let content_key = globals.as_ref().map(|(shared, index, live)| {
+                        index.content_key(shared, live, &fingerprints[cell_idx])
+                    });
                     let (slot, planned_hit) = match content_key {
                         Some(key) => match slots.entry(key) {
                             std::collections::hash_map::Entry::Occupied(e) => {
@@ -1773,7 +1844,8 @@ impl Campaign {
                         test_id: cell.id().to_owned(),
                         platform,
                         scenario: scenario.clone(),
-                        sources,
+                        prelude: shared_prelude.unwrap_or_else(|| preludes.fresh(&ported)),
+                        test_source: Arc::clone(&tests[cell_idx]),
                         es_source: Arc::clone(&es_source),
                         derivative: Arc::clone(&derivative),
                         fault,
@@ -1824,9 +1896,12 @@ impl Campaign {
                 .filter(|&index| seen.insert(Arc::as_ptr(&jobs[index].slot)))
                 .collect()
         };
+        for &index in &build_tasks {
+            preludes.expect(jobs[index].prelude);
+        }
         let build_slot = |index: usize| {
             let job = &jobs[index];
-            job.slot.get_or_init(|| job.build(self.decode));
+            job.slot.get_or_init(|| job.build(&preludes, self.decode));
         };
         if self.parallel_frontend && workers > 1 && build_tasks.len() > 1 {
             let cursor = AtomicUsize::new(0);
@@ -1844,6 +1919,8 @@ impl Campaign {
         } else {
             build_tasks.iter().copied().for_each(build_slot);
         }
+        let preludes_parsed = preludes.parsed() as u64;
+        drop(preludes);
         for job in &jobs {
             let Some(Err(source)) = job.slot.get() else {
                 continue;
@@ -1878,12 +1955,7 @@ impl Campaign {
         let build_wall = phase_started.elapsed();
 
         // ---- Execution phase ----
-        // An explicit pool wins; otherwise an attached store lends its
-        // own, so prefix snapshots also persist across campaigns.
-        let prefix_pool = self
-            .prefix_pool
-            .as_deref()
-            .or_else(|| store.map(|s| s.prefix_pool().as_ref()));
+        let prefix_pool = self.prefix_pool.as_deref();
         // Workers claim jobs in chunks — one atomic increment and one
         // results-lock per chunk, not per job — sized so every worker
         // still gets several claims for tail balance.
@@ -2056,6 +2128,7 @@ impl Campaign {
         report.perf.prefix_saved = prefix_saved.into_inner();
         report.perf.forked_runs = forked_runs.into_inner();
         report.perf.artifact_hits = artifact_hits;
+        report.perf.preludes = preludes_parsed;
         report.checkers_armed = self.checkers.len();
         report.violations = violations_by_job
             .into_inner()
@@ -2339,7 +2412,9 @@ fn bisect_test(
 
 #[cfg(test)]
 mod tests {
+    use advm_asm::SourceSet;
     use advm_soc::DerivativeId;
+    use proptest::prelude::*;
 
     use crate::env::TestCell;
 
@@ -2864,33 +2939,206 @@ t_fail:
     }
 
     #[test]
-    fn content_key_tracks_referenced_alias_defines() {
+    fn cold_standard_campaign_parses_each_shared_prelude_once() {
+        let config = EnvConfig::new(DerivativeId::Sc88A, PlatformId::GoldenModel);
+        let campaign = || Campaign::new().envs(crate::presets::standard_system(config));
+        let store = Arc::new(ArtifactStore::default());
+        let cold = campaign().artifact_store(Arc::clone(&store)).run().unwrap();
+        assert_eq!(cold.perf().preludes, 26, "one per distinct prelude input");
+        assert_eq!(cold.unique_builds(), 151);
+        assert_eq!(cold.perf().forked_runs, 0, "a store lends no prefix pool");
+        let warm = campaign().artifact_store(store).run().unwrap();
+        assert_eq!(warm.perf().preludes, 0, "warm images need no prelude");
+        assert_eq!(warm.perf().artifact_hits, 151);
+        let uncached = campaign().cache(false).run().unwrap();
+        assert_eq!(uncached.perf().preludes, 180, "no cache, no sharing");
+        let verdicts = |report: &CampaignReport| -> Vec<(bool, u64)> {
+            report
+                .runs()
+                .iter()
+                .map(|run| (run.result.passed(), run.result.insns))
+                .collect()
+        };
+        assert_eq!(verdicts(&uncached), verdicts(&cold));
+    }
+
+    /// The content key as planning computed it before the per-env
+    /// [`GlobalsIndex`]: one fingerprint per cell over its whole unit
+    /// and a per-job fixpoint over `String` token sets. The indexed key
+    /// must split jobs into exactly the groups this reference does.
+    struct CellFingerprint {
+        invariant_hash: u64,
+        referenced: HashSet<String>,
+    }
+
+    fn collect_tokens(line: &str, out: &mut HashSet<String>) {
+        out.extend(tokens(line).map(str::to_owned));
+    }
+
+    impl CellFingerprint {
+        fn new(sources: &SourceSet, es_source: &str) -> Self {
+            let mut referenced = HashSet::new();
+            let mut hash = 0;
+            for (name, text) in sources.iter() {
+                if name == GLOBALS_FILE {
+                    continue;
+                }
+                hash = fnv1a(hash, name.as_bytes());
+                for line in text.lines().filter(|l| !is_inert_line(l)) {
+                    collect_tokens(line, &mut referenced);
+                    hash = fnv1a(hash, line.as_bytes());
+                    hash = fnv1a(hash, b"\n");
+                }
+            }
+            hash = fnv1a(hash, b"\x00es\x00");
+            for line in es_source.lines().filter(|l| !is_inert_line(l)) {
+                hash = fnv1a(hash, line.as_bytes());
+                hash = fnv1a(hash, b"\n");
+            }
+            Self {
+                invariant_hash: hash,
+                referenced,
+            }
+        }
+
+        fn content_key(&self, globals_text: &str) -> u64 {
+            let defines: Vec<(&str, &str)> = globals_text
+                .lines()
+                .filter(|l| !is_inert_line(l))
+                .map(|line| {
+                    let mut words = line.split_whitespace();
+                    let first = words.next().unwrap_or("");
+                    let defined = if first.eq_ignore_ascii_case(".DEFINE") {
+                        words.next().unwrap_or("")
+                    } else {
+                        first
+                    };
+                    (defined, line)
+                })
+                .collect();
+            let mut live = vec![false; defines.len()];
+            let mut extra: HashSet<String> = HashSet::new();
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for (i, (name, line)) in defines.iter().enumerate() {
+                    if !live[i] && (self.referenced.contains(*name) || extra.contains(*name)) {
+                        live[i] = true;
+                        collect_tokens(line, &mut extra);
+                        changed = true;
+                    }
+                }
+            }
+            let mut hash = self.invariant_hash;
+            for (i, (_, line)) in defines.iter().enumerate() {
+                if live[i] {
+                    hash = fnv1a(hash, line.as_bytes());
+                    hash = fnv1a(hash, b"\n");
+                }
+            }
+            hash
+        }
+    }
+
+    /// Both keys of a unit whose only file besides `Globals.inc` is
+    /// `test`: `(reference, indexed)`.
+    fn both_keys(test: &str, globals: &str) -> (u64, u64) {
         let sources = SourceSet::new()
             .with(GLOBALS_FILE, "")
-            .with("test.asm", "_main:\n    MOV CallAddr, d1\n    RETURN\n");
-        let fp = CellFingerprint::new(&sources, "");
+            .with("test.asm", test);
+        let reference = CellFingerprint::new(&sources, "").content_key(globals);
+        let shared = SharedFingerprint {
+            hash: 0,
+            referenced: HashSet::new(),
+        };
+        let index = GlobalsIndex::new(globals);
+        let live = index.shared_live(&shared);
+        let indexed = index.content_key(&shared, &live, &TestFingerprint::new(test));
+        (reference, indexed)
+    }
+
+    /// Each key's group: the index of the first key equal to it.
+    fn groups(keys: &[u64]) -> Vec<usize> {
+        let mut first: HashMap<u64, usize> = HashMap::new();
+        keys.iter()
+            .enumerate()
+            .map(|(i, key)| *first.entry(*key).or_insert(i))
+            .collect()
+    }
+
+    #[test]
+    fn content_key_tracks_referenced_alias_defines() {
+        let test = "_main:\n    MOV CallAddr, d1\n    RETURN\n";
         // `.DEFINE NAME value` lines put the name second; a changed alias
         // binding must change the key (equal keys must imply equal
         // images), while an unreferenced define must not.
-        let a = fp.content_key("X .EQU 0x1\n.DEFINE CallAddr a12\n");
-        let b = fp.content_key("X .EQU 0x2\n.DEFINE CallAddr a12\n");
-        let c = fp.content_key("X .EQU 0x1\n.DEFINE CallAddr a10\n");
-        assert_eq!(a, b, "unreferenced .EQU must not affect the key");
-        assert_ne!(a, c, "referenced alias binding must affect the key");
+        let keys = [
+            "X .EQU 0x1\n.DEFINE CallAddr a12\n",
+            "X .EQU 0x2\n.DEFINE CallAddr a12\n",
+            "X .EQU 0x1\n.DEFINE CallAddr a10\n",
+        ]
+        .map(|globals| both_keys(test, globals));
+        for pick in [|k: (u64, u64)| k.0, |k: (u64, u64)| k.1] {
+            let [a, b, c] = keys.map(pick);
+            assert_eq!(a, b, "unreferenced .EQU must not affect the key");
+            assert_ne!(a, c, "referenced alias binding must affect the key");
+        }
     }
 
     #[test]
     fn content_key_follows_transitive_define_references() {
-        let sources = SourceSet::new()
-            .with(GLOBALS_FILE, "")
-            .with("test.asm", "_main:\n    LOAD d1, #TIMEOUT\n    RETURN\n");
-        let fp = CellFingerprint::new(&sources, "");
+        let test = "_main:\n    LOAD d1, #TIMEOUT\n    RETURN\n";
         // The unit references only TIMEOUT, but TIMEOUT's value is a
         // symbolic expression over POLL_LIMIT — a changed POLL_LIMIT
         // changes the emitted image, so it must change the key.
-        let a = fp.content_key("TIMEOUT .EQU POLL_LIMIT\nPOLL_LIMIT .EQU 0x100\n");
-        let b = fp.content_key("TIMEOUT .EQU POLL_LIMIT\nPOLL_LIMIT .EQU 0x200\n");
-        assert_ne!(a, b, "transitively referenced define must affect the key");
+        let a = both_keys(test, "TIMEOUT .EQU POLL_LIMIT\nPOLL_LIMIT .EQU 0x100\n");
+        let b = both_keys(test, "TIMEOUT .EQU POLL_LIMIT\nPOLL_LIMIT .EQU 0x200\n");
+        assert_ne!(
+            a.0, b.0,
+            "transitively referenced define must affect the key"
+        );
+        assert_ne!(
+            a.1, b.1,
+            "transitively referenced define must affect the key"
+        );
+    }
+
+    #[test]
+    fn indexed_content_keys_group_standard_jobs_like_the_fixpoint() {
+        let (mut reference, mut indexed) = (Vec::new(), Vec::new());
+        for derivative in DerivativeId::ALL {
+            let config = EnvConfig::new(derivative, PlatformId::GoldenModel);
+            for env in crate::presets::standard_system(config) {
+                let es = es_rom_source(&env);
+                let shared = SharedFingerprint::new(&env, &es);
+                let cells: Vec<(CellFingerprint, TestFingerprint<'_>)> = env
+                    .cells()
+                    .iter()
+                    .map(|cell| {
+                        let sources = crate::build::unit_sources(&env, cell.id()).unwrap();
+                        (
+                            CellFingerprint::new(&sources, &es),
+                            TestFingerprint::new(cell.source()),
+                        )
+                    })
+                    .collect();
+                for platform in PlatformId::ALL {
+                    let mut ported = env.clone();
+                    ported.reconfigure(EnvConfig {
+                        platform,
+                        ..env.config()
+                    });
+                    let index = GlobalsIndex::new(ported.globals_text());
+                    let live = index.shared_live(&shared);
+                    for (old, test) in &cells {
+                        reference.push(old.content_key(ported.globals_text()));
+                        indexed.push(index.content_key(&shared, &live, test));
+                    }
+                }
+            }
+        }
+        assert_eq!(reference.len(), 720);
+        assert_eq!(groups(&indexed), groups(&reference));
     }
 
     #[test]
@@ -3189,6 +3437,57 @@ _main:
                 assert_eq!(twin.result.passed(), run.result.passed());
                 assert_eq!(twin.result.insns, run.result.insns);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Generated `Globals.inc` files with transitive `.EQU`/`.DEFINE`
+        /// chains (forward references and cycles included): the indexed key
+        /// groups every (variant, test) pair exactly as the fixpoint does.
+        #[test]
+        fn indexed_content_key_groups_like_the_fixpoint(
+            lines in proptest::collection::vec((0u8..4, 0usize..10, 0usize..12, 0u8..4), 1..20),
+            tests in proptest::collection::vec(proptest::collection::vec(0usize..12, 0..4), 1..5),
+        ) {
+            let render = |bump: Option<usize>| -> String {
+                let mut text = String::new();
+                for (i, &(kind, name, other, value)) in lines.iter().enumerate() {
+                    let value = u32::from(value) + if bump == Some(i) { 10 } else { 0 };
+                    text.push_str(&match kind {
+                        0 => format!("N{name} .EQU {value}\n"),
+                        1 => format!("N{name} .EQU N{other} + {value}\n"),
+                        2 => format!(".DEFINE N{name} N{other}\n.DEFINE A{name} d{value}\n"),
+                        _ => format!("; N{other} was {value}\n"),
+                    });
+                }
+                text
+            };
+            // The base file plus one variant per line with that line edited.
+            let variants: Vec<String> = std::iter::once(None)
+                .chain((0..lines.len()).map(Some))
+                .map(render)
+                .collect();
+            let tests: Vec<String> = tests
+                .iter()
+                .map(|refs| {
+                    let mut text = String::from("_main:\n");
+                    for r in refs {
+                        text.push_str(&format!("    LOAD d1, #N{r}\n    MOV A{r}, d2\n"));
+                    }
+                    text
+                })
+                .collect();
+            let (mut reference, mut indexed) = (Vec::new(), Vec::new());
+            for globals in &variants {
+                for test in &tests {
+                    let (old, new) = both_keys(test, globals);
+                    reference.push(old);
+                    indexed.push(new);
+                }
+            }
+            prop_assert_eq!(groups(&indexed), groups(&reference));
         }
     }
 }

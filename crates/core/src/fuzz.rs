@@ -25,16 +25,19 @@
 //! grade what they kill that the differential verdict misses — see the
 //! tests in this module.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use advm_fuzz::{mine, FuzzProgram, ProgramSource, TraceAssertion};
 use advm_sim::{MmioTrace, Platform};
-use advm_soc::{Derivative, PlatformId};
+use advm_soc::{Derivative, DerivativeId, EsVersion, PlatformId};
 
-use advm_asm::AsmError;
+use advm_asm::{AsmError, Image, Program};
 
 use crate::artifacts::ArtifactStore;
+use crate::build::{assemble_lean, es_rom_source, link_programs, Preludes};
 use crate::campaign::{
     default_workers, Campaign, CampaignError, CampaignReport, CheckerViolation, ObserverFactory,
     DEFAULT_MONITOR_CAPACITY,
@@ -296,9 +299,10 @@ impl Fuzz {
 
     /// Attaches a shared artifact store: the verify campaign's builds
     /// land in (and reuse) `store` — the daemon passes its cross-job
-    /// store here. Mining runs always build directly; their images must
-    /// match the checking runs byte for byte, and bypassing the cache
-    /// keeps that equality independent of what other jobs cached.
+    /// store here. Mining runs never use the store (they share preludes
+    /// and ES ROMs only within one call); their images must match the
+    /// checking runs byte for byte, and bypassing the store keeps that
+    /// equality independent of what other jobs cached.
     pub fn artifact_store(mut self, store: Arc<ArtifactStore>) -> Self {
         self.artifact_store = Some(store);
         self
@@ -335,30 +339,23 @@ impl Fuzz {
         Ok(programs)
     }
 
-    /// Runs one program fault-free on one platform with the monitor
-    /// armed and returns the captured MMIO trace.
+    /// Runs one image fault-free on one platform with the monitor armed
+    /// and returns the captured MMIO trace.
     fn golden_trace(
         &self,
-        env: &ModuleTestEnv,
+        image: &Image,
         platform: PlatformId,
-    ) -> Result<MmioTrace, FuzzError> {
-        let mut ported = env.clone();
-        ported.reconfigure(EnvConfig {
-            platform,
-            ..env.config()
-        });
-        let cell_id = ported.cells()[0].id().to_owned();
-        let image = crate::build::build_cell(&ported, &cell_id)?;
-        let derivative = Derivative::from_id(ported.config().derivative);
-        let mut machine = Platform::new(platform, &derivative);
+        derivative: &Derivative,
+    ) -> MmioTrace {
+        let mut machine = Platform::new(platform, derivative);
         machine.set_fuel(self.fuel);
         machine.enable_mmio_trace(self.monitor_capacity);
-        machine.load_image(&image);
+        machine.load_image(image);
         machine.run();
-        Ok(machine
+        machine
             .mmio_trace()
             .expect("monitor was enabled above")
-            .clone())
+            .clone()
     }
 
     /// Generates the batch and mines checkers from fault-free runs on
@@ -372,12 +369,32 @@ impl Fuzz {
         self.mine_for(&programs)
     }
 
+    /// Mines checkers from every program on every target platform. The
+    /// images are built exactly as [`build_cell`](crate::build::build_cell)
+    /// builds them, but each distinct prelude is parsed once and each
+    /// distinct ES ROM assembled once per call.
     fn mine_for(&self, programs: &[FuzzProgram]) -> Result<Vec<TraceAssertion>, FuzzError> {
+        let mut preludes = Preludes::default();
+        let mut es_roms: HashMap<(DerivativeId, EsVersion), Program> = HashMap::new();
         let mut traces = Vec::new();
         for program in programs {
             let env = program_env(program);
             for &platform in &self.platforms {
-                traces.push(self.golden_trace(&env, platform)?);
+                let mut ported = env.clone();
+                ported.reconfigure(EnvConfig {
+                    platform,
+                    ..env.config()
+                });
+                let slot = preludes.shared(&ported);
+                let unit = preludes.assemble(slot, ported.cells()[0].source())?;
+                let config = ported.config();
+                let es = match es_roms.entry((config.derivative, config.es_version)) {
+                    Entry::Occupied(es) => es.into_mut(),
+                    Entry::Vacant(slot) => slot.insert(assemble_lean(&es_rom_source(&ported))?),
+                };
+                let image = link_programs(&unit, es)?;
+                let derivative = Derivative::from_id(config.derivative);
+                traces.push(self.golden_trace(&image, platform, &derivative));
             }
         }
         let refs: Vec<&MmioTrace> = traces.iter().collect();
@@ -437,6 +454,30 @@ mod tests {
     use crate::audit::{CellOutcome, FaultAudit};
 
     use super::*;
+
+    #[test]
+    fn mining_through_shared_preludes_matches_whole_unit_builds() {
+        let fuzz = Fuzz::new().programs(6).seed(11);
+        let programs = fuzz.generate().unwrap();
+        let mut traces = Vec::new();
+        for program in &programs {
+            let env = program_env(program);
+            for &platform in &fuzz.platforms {
+                let mut ported = env.clone();
+                ported.reconfigure(EnvConfig {
+                    platform,
+                    ..env.config()
+                });
+                let image = crate::build::build_cell(&ported, ported.cells()[0].id()).unwrap();
+                let derivative = Derivative::from_id(ported.config().derivative);
+                traces.push(fuzz.golden_trace(&image, platform, &derivative));
+            }
+        }
+        let refs: Vec<&MmioTrace> = traces.iter().collect();
+        let mined = fuzz.mine_for(&programs).unwrap();
+        assert!(!mined.is_empty(), "the batch mines something to compare");
+        assert_eq!(mined, mine(&refs));
+    }
 
     #[test]
     fn fuzz_run_is_clean_and_carries_provenance() {

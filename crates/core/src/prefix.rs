@@ -145,15 +145,6 @@ impl PrefixPool {
                 .or_default(),
         )
     }
-
-    /// Drops every platform's snapshot for one image content key. Used
-    /// by the cross-campaign [`crate::artifacts::ArtifactStore`] when it
-    /// evicts the image the snapshots were forked from.
-    pub(crate) fn evict_content_key(&self, content_key: u64) {
-        self.entries
-            .lock()
-            .retain(|&(key, _), _| key != content_key);
-    }
 }
 
 impl Default for PrefixPool {

@@ -5,8 +5,8 @@
 //! in-process (tests, doctests, embedding) or by the Unix-socket
 //! front-end in [`crate::server`]. What makes it more than a thread
 //! pool is the shared [`ArtifactStore`]: every campaign of every job is
-//! dressed with one store, so builds, predecoded programs and prefix
-//! snapshots survive from job to job. A warm resubmission of the same
+//! dressed with one store, so builds and predecoded programs survive
+//! from job to job. A warm resubmission of the same
 //! suite skips assembly entirely and reports the reuse in its `perf`
 //! JSON (`artifact_hits`).
 
@@ -26,6 +26,12 @@ use advm::stimulus::Exploration;
 use advm_soc::PlatformId;
 
 use crate::job::{JobSpec, JobState};
+
+/// Finished jobs whose whole event stream the daemon keeps for late
+/// watchers. An older finished job keeps only its final `done` line, so
+/// a resident daemon's memory does not grow with every event of every
+/// job it ever served.
+pub const RETAINED_STREAMS: usize = 64;
 
 /// Daemon construction knobs.
 #[derive(Debug, Clone)]
@@ -125,9 +131,10 @@ impl JobRecord {
     }
 
     /// The stream so far, plus a live receiver when the job is still
-    /// running (`None` once finished — the backlog is complete). The
-    /// snapshot and the subscription are atomic: no line is lost or
-    /// duplicated between them.
+    /// running (`None` once finished — the backlog is complete, or just
+    /// the final `done` line once [`RETAINED_STREAMS`] newer jobs have
+    /// finished). The snapshot and the subscription are atomic: no line
+    /// is lost or duplicated between them.
     pub fn subscribe(&self) -> (Vec<String>, Option<Receiver<String>>) {
         let mut stream = self.stream.lock().expect("job stream poisoned");
         let backlog = stream.lines.clone();
@@ -184,6 +191,14 @@ impl JobRecord {
         let _ = self.result.set(line.clone());
         self.push_line(line, true);
     }
+
+    /// Drops a finished job's events, keeping its final `done` line.
+    fn trim_stream(&self) {
+        let mut stream = self.stream.lock().expect("job stream poisoned");
+        if stream.finished {
+            stream.lines = self.result.get().cloned().into_iter().collect();
+        }
+    }
 }
 
 /// An observer handle forwarding one campaign's events into a job's
@@ -201,6 +216,8 @@ impl CampaignObserver for EventStreamer {
 struct QueueState {
     queue: VecDeque<u64>,
     jobs: Vec<Arc<JobRecord>>,
+    /// Finished jobs whose whole stream is kept, oldest first.
+    retained: VecDeque<Arc<JobRecord>>,
     shutdown: bool,
 }
 
@@ -241,6 +258,7 @@ impl Daemon {
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 jobs: Vec::new(),
+                retained: VecDeque::new(),
                 shutdown: false,
             }),
             cv: Condvar::new(),
@@ -441,6 +459,13 @@ fn worker_loop(shared: &Shared) {
                     advm::wire::json_string(&error)
                 ),
             ),
+        }
+        let mut state = shared.state.lock().expect("daemon state poisoned");
+        state.retained.push_back(record);
+        if state.retained.len() > RETAINED_STREAMS {
+            let oldest = state.retained.pop_front().expect("over capacity");
+            drop(state);
+            oldest.trim_stream();
         }
     }
 }
@@ -685,6 +710,28 @@ mod tests {
         );
         assert_eq!(backlog.last().unwrap(), &line);
         daemon.join();
+    }
+
+    #[test]
+    fn only_recent_finished_jobs_keep_their_whole_stream() {
+        let dir = tiny_env_dir();
+        let daemon = Daemon::start(DaemonConfig {
+            workers: 1,
+            cache_capacity: 32,
+        });
+        let records: Vec<Arc<JobRecord>> = (0..=RETAINED_STREAMS)
+            .map(|_| daemon.job(daemon.submit(regress_spec(dir.path()))).unwrap())
+            .collect();
+        for record in &records {
+            record.wait();
+        }
+        // Joining lets the worker finish its bookkeeping for the last job.
+        daemon.join();
+        let (oldest, live) = records[0].subscribe();
+        assert!(live.is_none());
+        assert_eq!(oldest, vec![records[0].result_line().unwrap()]);
+        let (newest, _) = records[RETAINED_STREAMS].subscribe();
+        assert!(newest.len() > 1, "recent jobs keep every event");
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! assemble-and-decode cost on every invocation. This crate keeps one
 //! verification engine resident instead: a [`Daemon`] owns a job queue,
 //! a worker pool, and — the point of the exercise — one shared
-//! [`ArtifactStore`](advm::artifacts::ArtifactStore), so built images,
-//! predecoded programs and warm [`PrefixPool`](advm::prefix::PrefixPool)
-//! snapshots survive **across jobs**. A warm resubmission of a suite
+//! [`ArtifactStore`](advm::artifacts::ArtifactStore), so built images
+//! and predecoded programs survive **across jobs**. A warm resubmission of a suite
 //! skips its builds entirely; the reuse shows up as `artifact_hits` in
 //! the job report's `perf` block and in the daemon's `status` counters,
 //! while the verdict-bearing report stays byte-identical to a cold
@@ -33,7 +32,7 @@ pub mod client;
 #[cfg(unix)]
 pub mod server;
 
-pub use daemon::{Daemon, DaemonConfig, JobRecord};
+pub use daemon::{Daemon, DaemonConfig, JobRecord, RETAINED_STREAMS};
 pub use job::{JobSpec, JobState};
 pub use protocol::Request;
 
