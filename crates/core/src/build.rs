@@ -8,13 +8,10 @@
 //! team) and merged at image level — overlap is a build error.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use advm_asm::{assemble, AsmError, Image, ParsedUnit, Prelude, Program, SourceSet};
 use advm_sim::{Platform, PlatformFault, RunResult};
-use advm_soc::{Derivative, EsRom};
-use parking_lot::Mutex;
+use advm_soc::{Derivative, EsRom, MemoryMap, RegionKind};
 
 use crate::env::{ModuleTestEnv, BASE_FUNCTIONS_FILE, GLOBALS_FILE, TEST_SOURCE_FILE};
 use crate::runtime::{
@@ -76,85 +73,59 @@ pub(crate) fn prelude_sources(env: &ModuleTestEnv) -> SourceSet {
     shared_sources(env, "every cell")
 }
 
-/// Lazily parsed unit [`Prelude`]s, one slot per distinct set of
-/// prelude inputs. A batch of builds (a campaign's build phase, a fuzz
-/// run's mining pass) plans its slots up front; the first build that
-/// needs a slot parses it, and every later build of the slot preprocesses
-/// and parses only its test. A slot whose planned builds
-/// ([`Preludes::expect`]) have all run drops its prelude.
+/// The unit preludes of a batch of builds (a campaign's build phase, a
+/// fuzz run's mining pass): the sources of one slot per distinct set of
+/// prelude inputs. The batch's builder parses a slot's [`Prelude`] where
+/// it needs one and owns it. A campaign worker claims every build of
+/// one slot together, parses the prelude once for them and drops it
+/// when the group is done. Every build of a slot then preprocesses and
+/// parses only its test.
 #[derive(Default)]
 pub(crate) struct Preludes {
-    /// Hash of (`Globals.inc`, `Base_Functions.asm`) → slot index.
-    by_inputs: HashMap<u64, usize>,
-    slots: Vec<PreludeSlot>,
-    parsed: AtomicUsize,
-}
-
-struct PreludeSlot {
-    sources: SourceSet,
-    prelude: Mutex<Option<Arc<Prelude>>>,
-    /// Planned builds that have not run yet.
-    pending: AtomicUsize,
+    /// [`Preludes::key`] → slot index.
+    by_key: HashMap<u64, usize>,
+    sources: Vec<SourceSet>,
 }
 
 impl Preludes {
-    /// The slot for `env`'s prelude inputs, shared with every earlier
-    /// env whose inputs are equal.
-    pub(crate) fn shared(&mut self, env: &ModuleTestEnv) -> usize {
-        let key = [env.globals_text(), env.base_functions_text()]
+    /// The hash of `env`'s prelude inputs (`Globals.inc` and
+    /// `Base_Functions.asm`): envs with equal keys share a prelude.
+    pub(crate) fn key(env: &ModuleTestEnv) -> u64 {
+        [env.globals_text(), env.base_functions_text()]
             .iter()
             .fold(0, |hash, text| {
                 crate::campaign::fnv1a(crate::campaign::fnv1a(hash, text.as_bytes()), b"\0")
-            });
-        match self.by_inputs.get(&key) {
+            })
+    }
+
+    /// The slot for prelude inputs hashing to `key`, shared with every
+    /// earlier caller of the same key. `sources` supplies the slot's
+    /// [`prelude_sources`] when the key is new.
+    pub(crate) fn shared(&mut self, key: u64, sources: impl FnOnce() -> SourceSet) -> usize {
+        match self.by_key.get(&key) {
             Some(&slot) => slot,
             None => {
-                let slot = self.fresh(env);
-                self.by_inputs.insert(key, slot);
+                let slot = self.fresh(sources());
+                self.by_key.insert(key, slot);
                 slot
             }
         }
     }
 
-    /// A slot of `env`'s own, shared with nobody (the uncached build).
-    pub(crate) fn fresh(&mut self, env: &ModuleTestEnv) -> usize {
-        self.slots.push(PreludeSlot {
-            sources: prelude_sources(env),
-            prelude: Mutex::new(None),
-            pending: AtomicUsize::new(0),
-        });
-        self.slots.len() - 1
+    /// A slot of its own, shared with nobody (the uncached build).
+    pub(crate) fn fresh(&mut self, sources: SourceSet) -> usize {
+        self.sources.push(sources);
+        self.sources.len() - 1
     }
 
-    /// Plans one build on `slot`: the slot keeps its prelude until every
-    /// planned build has run. Slots with no planned build keep theirs
-    /// until the batch drops.
-    pub(crate) fn expect(&self, slot: usize) {
-        self.slots[slot].pending.fetch_add(1, Ordering::Relaxed);
+    /// Slots planned so far.
+    pub(crate) fn len(&self) -> usize {
+        self.sources.len()
     }
 
-    /// Assembles the unit of `slot`'s prelude and `test` without a
-    /// listing: the same program and errors as assembling
-    /// [`unit_sources`] whole.
-    pub(crate) fn assemble(&self, slot: usize, test: &str) -> Result<Program, AsmError> {
-        let slot = &self.slots[slot];
-        let prelude = Arc::clone(slot.prelude.lock().get_or_insert_with(|| {
-            self.parsed.fetch_add(1, Ordering::Relaxed);
-            Arc::new(Prelude::new(UNIT_FILE, &slot.sources, TEST_SOURCE_FILE))
-        }));
-        let program = prelude.assemble(test);
-        let last = slot
-            .pending
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
-        if last == Ok(1) {
-            *slot.prelude.lock() = None;
-        }
-        program
-    }
-
-    /// Preludes parsed so far.
-    pub(crate) fn parsed(&self) -> usize {
-        self.parsed.load(Ordering::Relaxed)
+    /// Preprocesses and parses `slot`'s prelude.
+    pub(crate) fn parse(&self, slot: usize) -> Prelude {
+        Prelude::new(UNIT_FILE, &self.sources[slot], TEST_SOURCE_FILE)
     }
 }
 
@@ -205,7 +176,9 @@ pub fn assemble_es_rom(env: &ModuleTestEnv) -> Result<Program, AsmError> {
 ///
 /// # Errors
 ///
-/// Propagates image-overlap link errors.
+/// Propagates image-overlap link errors, and rejects an image with a
+/// byte outside the SC88 map's loadable memory (ROM, RAM, NVM): no
+/// platform could load it.
 pub fn link_programs(unit: &Program, es: &Program) -> Result<Image, AsmError> {
     let mut image = Image::new();
     image
@@ -214,7 +187,35 @@ pub fn link_programs(unit: &Program, es: &Program) -> Result<Image, AsmError> {
     image
         .load_program(es)
         .map_err(|e| AsmError::general(format!("ES ROM link failed: {e}")))?;
+    check_loadable(&image)?;
     Ok(image)
+}
+
+/// Fails on the first image byte outside ROM, RAM and NVM.
+fn check_loadable(image: &Image) -> Result<(), AsmError> {
+    let map = MemoryMap::sc88();
+    for (base, bytes) in image.runs() {
+        let end = u64::from(base) + bytes.len() as u64;
+        let mut addr = base;
+        while u64::from(addr) < end {
+            match map.region_at(addr) {
+                Some(region)
+                    if matches!(
+                        region.kind(),
+                        RegionKind::Rom | RegionKind::Ram | RegionKind::Nvm
+                    ) =>
+                {
+                    addr = region.end();
+                }
+                _ => {
+                    return Err(AsmError::general(format!(
+                        "link failed: image byte at {addr:#07x} lies outside loadable memory"
+                    )))
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Assembles and links one full image from pre-generated inputs: the
@@ -288,6 +289,7 @@ mod tests {
         for derivative in DerivativeId::ALL {
             let config = EnvConfig::new(derivative, PlatformId::GoldenModel);
             let mut preludes = Preludes::default();
+            let mut parsed = HashMap::new();
             for env in crate::presets::standard_system(config) {
                 for platform in PlatformId::ALL {
                     let mut ported = env.clone();
@@ -295,19 +297,20 @@ mod tests {
                         platform,
                         ..env.config()
                     });
-                    let slot = preludes.shared(&ported);
+                    let slot = preludes.shared(Preludes::key(&ported), || prelude_sources(&ported));
+                    let prelude = parsed.entry(slot).or_insert_with(|| preludes.parse(slot));
                     for cell in ported.cells() {
                         let sources = unit_sources(&ported, cell.id()).unwrap();
                         let whole = ParsedUnit::parse_lean(UNIT_FILE, &sources)
                             .and_then(|unit| unit.encode())
                             .unwrap();
-                        let shared = preludes.assemble(slot, cell.source()).unwrap();
+                        let shared = prelude.assemble(cell.source()).unwrap();
                         assert_eq!(shared, whole, "{}/{} on {platform}", env.name(), cell.id());
                         units += 1;
                     }
                 }
             }
-            assert!(preludes.parsed() < 48, "preludes are shared across envs");
+            assert!(parsed.len() < 48, "preludes are shared across envs");
         }
         assert_eq!(units, 720);
     }
@@ -379,6 +382,17 @@ t_fail:
         );
         let result = run_cell(&env, "TEST_ONE").unwrap();
         assert!(result.passed(), "{result}");
+    }
+
+    #[test]
+    fn image_bytes_outside_memory_fail_the_link() {
+        for addr in ["0x70000", "0xE0100"] {
+            let env = env_with(&format!(
+                ".INCLUDE Globals.inc\n_main:\n    RETURN\n.ORG {addr}\n.WORD 1\n"
+            ));
+            let err = run_cell(&env, "TEST_ONE").unwrap_err().to_string();
+            assert!(err.contains(&addr.to_lowercase()), "{err}");
+        }
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! This module replaces the old `run_regression` free function with a
 //! builder-driven pipeline:
 //!
-//! * **Assembly on the workers.** Job planning only generates source
-//!   text; the expensive assemble-and-link happens inside the worker
-//!   pool, overlapped across jobs.
+//! * **Front-end on the workers.** Planning ports every environment to
+//!   every platform and keys its jobs on the worker pool, then assigns
+//!   build slots in one serial pass in plan order; the assemble-and-link
+//!   of every distinct image runs on the pool too, before execution.
 //! * **Content-keyed build cache.** Jobs whose effective source content
 //!   is identical (e.g. a platform-independent cell targeted at two
 //!   platforms with the same abstraction-layer knobs) share one build.
@@ -25,8 +26,9 @@
 //!   runtime and base-function library followed by one test. The build
 //!   phase preprocesses and parses that prelude once per distinct
 //!   `Globals.inc`/`Base_Functions.asm` pair ([`advm_asm::Prelude`]) and
-//!   each build then parses only its test; a prelude is dropped after its
-//!   last planned build.
+//!   each build then parses only its test. A worker claims all builds of
+//!   one prelude together, parses it only if one of them still needs
+//!   building, and drops it when the group is done.
 //! * **Event streaming.** Typed [`CampaignEvent`]s (job started / built /
 //!   finished, planned cache hits, divergences) stream to pluggable
 //!   [`CampaignObserver`]s while the campaign runs.
@@ -69,7 +71,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use advm_asm::{AsmError, Image};
+use advm_asm::{AsmError, Image, Prelude, SourceSet};
 use advm_fuzz::TraceAssertion;
 use advm_gen::{Scenario, ScenarioMeta};
 use advm_metrics::Table;
@@ -82,7 +84,7 @@ use advm_soc::{Derivative, DerivativeId, PlatformId};
 use parking_lot::Mutex;
 
 use crate::artifacts::ArtifactStore;
-use crate::build::{assemble_lean, es_rom_source, link_programs, Preludes};
+use crate::build::{assemble_lean, es_rom_source, link_programs, prelude_sources, Preludes};
 use crate::env::{EnvConfig, ModuleTestEnv, GLOBALS_FILE};
 use crate::prefix::{PrefixEntry, PrefixPool};
 
@@ -1169,7 +1171,7 @@ struct SharedFingerprint {
 
 impl SharedFingerprint {
     fn new(env: &ModuleTestEnv, es_source: &str) -> Self {
-        let sources = crate::build::prelude_sources(env);
+        let sources = prelude_sources(env);
         let mut referenced = HashSet::new();
         let mut hash = 0;
         for (name, text) in sources.iter().filter(|(name, _)| *name != GLOBALS_FILE) {
@@ -1303,6 +1305,135 @@ impl<'g> GlobalsIndex<'g> {
     }
 }
 
+/// A campaign's planned job list and what planning counted.
+struct Plan {
+    jobs: Vec<Job>,
+    preludes: Preludes,
+    /// Jobs that reuse an earlier job's build slot.
+    cache_hits: usize,
+    /// Distinct build slots the artifact store already held.
+    artifact_hits: u64,
+}
+
+/// Planning's per-env work: what every platform's jobs of one env share.
+struct EnvPlan<'e> {
+    es_source: Arc<str>,
+    /// Hash of `es_source`: the key of the campaign's ES ROM slot.
+    es_key: u64,
+    derivative: Arc<Derivative>,
+    /// One source per cell, shared by every platform's job: test cells
+    /// are never touched by re-targeting.
+    tests: Vec<Arc<str>>,
+    /// The content-key inputs of the env and of each cell, when the
+    /// build cache is on.
+    fingerprints: Option<(SharedFingerprint, Vec<TestFingerprint<'e>>)>,
+}
+
+impl<'e> EnvPlan<'e> {
+    fn new(env: &'e ModuleTestEnv, cache: bool) -> Self {
+        let es_source: Arc<str> = es_rom_source(env).into();
+        let fingerprints = cache.then(|| {
+            let tests = env
+                .cells()
+                .iter()
+                .map(|cell| TestFingerprint::new(cell.source()))
+                .collect();
+            (SharedFingerprint::new(env, &es_source), tests)
+        });
+        Self {
+            es_key: fnv1a(0, es_source.as_bytes()),
+            derivative: Arc::new(Derivative::from_id(env.config().derivative)),
+            tests: env.cells().iter().map(|c| c.source().into()).collect(),
+            fingerprints,
+            es_source,
+        }
+    }
+}
+
+/// Planning's per-(env, platform) work: the env ported to the platform,
+/// reduced to what the jobs need. The ported env itself is dropped.
+struct PortPlan {
+    /// Each cell's content key; empty when the build cache is off.
+    content_keys: Vec<u64>,
+    /// The ported prelude's [`Preludes::key`]; `None` when the build
+    /// cache is off.
+    prelude_key: Option<u64>,
+    prelude: SourceSet,
+}
+
+impl PortPlan {
+    fn new(env: &ModuleTestEnv, plan: &EnvPlan<'_>, platform: PlatformId) -> Self {
+        let mut ported = env.clone();
+        ported.reconfigure(EnvConfig {
+            platform,
+            ..env.config()
+        });
+        let content_keys = match &plan.fingerprints {
+            Some((shared, tests)) => {
+                let index = GlobalsIndex::new(ported.globals_text());
+                let live = index.shared_live(shared);
+                tests
+                    .iter()
+                    .map(|test| index.content_key(shared, &live, test))
+                    .collect()
+            }
+            None => Vec::new(),
+        };
+        Self {
+            content_keys,
+            prelude_key: plan.fingerprints.is_some().then(|| Preludes::key(&ported)),
+            prelude: prelude_sources(&ported),
+        }
+    }
+}
+
+/// Maps `f` over `items` on up to `workers` threads (the calling thread
+/// included), each claiming the next unclaimed item. Results come back
+/// in item order whatever the schedule; one worker maps in place.
+fn par_map<'a, T: Sync, R: Send>(
+    items: &'a [T],
+    workers: usize,
+    f: impl Fn(&'a T) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(index) else {
+                return done;
+            };
+            done.push((index, f(item)));
+        }
+    };
+    let mut results: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+        let mine = claim();
+        for done in helpers
+            .into_iter()
+            .map(|helper| {
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .chain([mine])
+        {
+            for (index, result) in done {
+                results[index] = Some(result);
+            }
+        }
+    });
+    results
+        .into_iter()
+        .map(|result| result.expect("every item is claimed once"))
+        .collect()
+}
+
 /// One deduplicated build product: the linked image plus its shared
 /// predecode artifact. The artifact is built exactly once per distinct
 /// image (behind the same content key that dedupes the assembly) and
@@ -1361,8 +1492,8 @@ impl Job {
     /// only links the programs. Emitted bytes and diagnostics are
     /// identical to [`advm_asm::assemble`] over the cell's
     /// [`unit_sources`](crate::build::unit_sources).
-    fn build(&self, preludes: &Preludes, decode: bool) -> Result<Prebuilt, AsmError> {
-        let unit = preludes.assemble(self.prelude, &self.test_source)?;
+    fn build(&self, prelude: &Prelude, decode: bool) -> Result<Prebuilt, AsmError> {
+        let unit = prelude.assemble(&self.test_source)?;
         let es = self
             .es_slot
             .get_or_init(|| assemble_lean(&self.es_source))
@@ -1611,16 +1742,19 @@ impl Campaign {
         self
     }
 
-    /// Enables or disables the parallel assembly front-end (default:
-    /// enabled). When enabled, the build phase claims distinct image
-    /// builds off the worker pool before execution starts, so a
-    /// cold-cache campaign (every program unique — the fuzz/explore
-    /// shape, and a service's fresh-traffic shape) assembles across all
-    /// workers instead of serialising builds behind the first executing
-    /// job. Disabling runs the same build phase on the calling thread.
-    /// Either way, build errors are attributed to the first failing job
-    /// in plan order — never to whichever worker parsed first — and
-    /// images are byte-identical.
+    /// Enables or disables the parallel front-end (default: enabled):
+    /// planning and the build phase, everything before execution. When
+    /// enabled, both run on the campaign's workers. Planning ports each
+    /// environment to each platform and computes its content keys
+    /// there, and the build phase claims the distinct image builds
+    /// prelude by prelude, so a cold-cache campaign (the porting shape,
+    /// the fuzz/explore shape, a service's fresh traffic) keeps every
+    /// worker busy instead of serialising behind one thread. Disabling
+    /// runs the same code on the calling thread. Either way the plan is
+    /// identical (slots, planned hits and store lookups are assigned in
+    /// one serial pass in plan order), build errors are attributed to
+    /// the first failing job in plan order — never to whichever worker
+    /// parsed first — and images are byte-identical.
     pub fn parallel_frontend(mut self, enabled: bool) -> Self {
         self.parallel_frontend = enabled;
         self
@@ -1714,7 +1848,7 @@ impl Campaign {
     /// for an unrunnable plan, [`CampaignError::Build`] for the first
     /// (in job order) assembler or link failure. Execution failures are
     /// results, not errors.
-    pub fn run(self) -> Result<CampaignReport, CampaignError> {
+    pub fn run(mut self) -> Result<CampaignReport, CampaignError> {
         if self.envs.is_empty() && self.scenarios.is_empty() {
             return Err(CampaignError::NoEnvironments);
         }
@@ -1728,7 +1862,7 @@ impl Campaign {
         // against the hand-built envs and against each other — separately
         // planned batches can mint the same engine names (`CR_000`, …),
         // and a colliding env name would silently merge report cells.
-        let mut planned: Vec<(ModuleTestEnv, Option<Arc<ScenarioMeta>>)> = self.envs.clone();
+        let mut planned = std::mem::take(&mut self.envs);
         let mut used_names: std::collections::HashSet<String> =
             planned.iter().map(|(e, _)| e.name().to_owned()).collect();
         for s in &self.scenarios {
@@ -1750,115 +1884,17 @@ impl Campaign {
             ));
         }
 
-        // Plan: generate per-(env, platform) abstraction layers and the
-        // job list. Source *generation* is cheap string work and stays
-        // serial; source *assembly* is the hot path and moves to the
-        // workers below.
-        let mut jobs: Vec<Job> = Vec::new();
-        // Local slot maps memoise one store lookup per distinct key per
-        // campaign, so the store's hit/miss counters measure *cross*-
-        // campaign reuse, never within-campaign re-requests.
-        let mut slots: HashMap<u64, (ImageSlot, bool)> = HashMap::new();
-        let mut es_slots: HashMap<u64, EsSlot> = HashMap::new();
-        // One lazily parsed prelude per distinct set of prelude inputs,
-        // alive until the build phase ends. Without the cache every job
-        // parses its own.
-        let mut preludes = Preludes::default();
-        let mut cache_hits = 0;
-        let mut artifact_hits: u64 = 0;
-        let store = self
-            .cache
-            .then_some(self.artifact_store.as_deref())
-            .flatten();
-        for (env, scenario) in &planned {
-            // Per-env invariants: the ES ROM source and the derivative
-            // model depend only on derivative/ES release, never on the
-            // target platform the loop below re-targets to.
-            let es_source: Arc<str> = es_rom_source(env).into();
-            let derivative = Arc::new(Derivative::from_id(env.config().derivative));
-            let shared_es_slot = self.cache.then(|| {
-                let es_key = fnv1a(0, es_source.as_bytes());
-                Arc::clone(es_slots.entry(es_key).or_insert_with(|| match store {
-                    Some(store) => store.es_slot(es_key),
-                    None => EsSlot::default(),
-                }))
-            });
-            // Test cells are never touched by re-targeting: one source
-            // (and one fingerprint) per cell serves every platform.
-            let tests: Vec<Arc<str>> = env.cells().iter().map(|c| c.source().into()).collect();
-            let shared = self.cache.then(|| SharedFingerprint::new(env, &es_source));
-            let fingerprints: Vec<TestFingerprint<'_>> = if self.cache {
-                env.cells()
-                    .iter()
-                    .map(|cell| TestFingerprint::new(cell.source()))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            for &platform in &self.platforms {
-                let mut ported = env.clone();
-                ported.reconfigure(EnvConfig {
-                    platform,
-                    ..env.config()
-                });
-                let fault = match self.fault {
-                    Some((p, f)) if p == platform => f,
-                    _ => PlatformFault::None,
-                };
-                let globals = shared.as_ref().map(|shared| {
-                    let index = GlobalsIndex::new(ported.globals_text());
-                    let live = index.shared_live(shared);
-                    (shared, index, live)
-                });
-                let shared_prelude = self.cache.then(|| preludes.shared(&ported));
-                for (cell_idx, cell) in ported.cells().iter().enumerate() {
-                    let content_key = globals.as_ref().map(|(shared, index, live)| {
-                        index.content_key(shared, live, &fingerprints[cell_idx])
-                    });
-                    let (slot, planned_hit) = match content_key {
-                        Some(key) => match slots.entry(key) {
-                            std::collections::hash_map::Entry::Occupied(e) => {
-                                // Within-campaign hit: keeps its
-                                // store-independent report semantics.
-                                cache_hits += 1;
-                                (Arc::clone(&e.get().0), true)
-                            }
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                // First job of this key: consult the
-                                // store (a hit there means another
-                                // campaign already built — or is
-                                // building — this image).
-                                let (slot, store_hit) = match store {
-                                    Some(store) => store.image_slot(key),
-                                    None => (ImageSlot::default(), false),
-                                };
-                                artifact_hits += u64::from(store_hit);
-                                let (slot, _) = e.insert((slot, store_hit));
-                                (Arc::clone(slot), store_hit)
-                            }
-                        },
-                        None => (Arc::default(), false),
-                    };
-                    jobs.push(Job {
-                        env_name: ported.name().to_owned(),
-                        test_id: cell.id().to_owned(),
-                        platform,
-                        scenario: scenario.clone(),
-                        prelude: shared_prelude.unwrap_or_else(|| preludes.fresh(&ported)),
-                        test_source: Arc::clone(&tests[cell_idx]),
-                        es_source: Arc::clone(&es_source),
-                        derivative: Arc::clone(&derivative),
-                        fault,
-                        slot,
-                        // Without the cache every job assembles its own
-                        // ES ROM too, matching the pre-redesign baseline.
-                        es_slot: shared_es_slot.clone().unwrap_or_default(),
-                        planned_hit,
-                        content_key,
-                    });
-                }
-            }
-        }
+        let frontend_workers = if self.parallel_frontend {
+            self.workers
+        } else {
+            1
+        };
+        let Plan {
+            jobs,
+            preludes,
+            cache_hits,
+            artifact_hits,
+        } = self.plan(&planned, frontend_workers);
         let unique_builds = jobs.len() - cache_hits;
         let workers = self.workers.min(jobs.len().max(1));
 
@@ -1890,36 +1926,40 @@ impl Campaign {
         // error attribution deterministic: the error reported below is
         // the first failing job in *plan* order, never whichever worker
         // happened to parse first.
-        let build_tasks: Vec<usize> = {
-            let mut seen = std::collections::HashSet::new();
-            (0..jobs.len())
-                .filter(|&index| seen.insert(Arc::as_ptr(&jobs[index].slot)))
-                .collect()
-        };
-        for &index in &build_tasks {
-            preludes.expect(jobs[index].prelude);
-        }
-        let build_slot = |index: usize| {
-            let job = &jobs[index];
-            job.slot.get_or_init(|| job.build(&preludes, self.decode));
-        };
-        if self.parallel_frontend && workers > 1 && build_tasks.len() > 1 {
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers.min(build_tasks.len()) {
-                    scope.spawn(|| loop {
-                        let task = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&index) = build_tasks.get(task) else {
-                            break;
-                        };
-                        build_slot(index);
-                    });
+        //
+        // A worker claims every build of one prelude at once, so it
+        // parses that prelude at most once and no worker waits on
+        // another's parse. Slots the store already filled need no task,
+        // and the prelude is parsed only for a slot that is still empty
+        // when its turn comes (another campaign may have filled it).
+        let groups: Vec<Vec<usize>> = {
+            let mut seen = HashSet::new();
+            let mut group_of: Vec<Option<usize>> = vec![None; preludes.len()];
+            let mut groups: Vec<Vec<usize>> = Vec::new();
+            for (index, job) in jobs.iter().enumerate() {
+                if job.slot.get().is_some() || !seen.insert(Arc::as_ptr(&job.slot)) {
+                    continue;
                 }
-            });
-        } else {
-            build_tasks.iter().copied().for_each(build_slot);
-        }
-        let preludes_parsed = preludes.parsed() as u64;
+                let group = *group_of[job.prelude].get_or_insert_with(|| {
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                });
+                groups[group].push(index);
+            }
+            groups
+        };
+        let parsed = par_map(&groups, frontend_workers, |group| {
+            let mut prelude = None;
+            for &index in group {
+                let job = &jobs[index];
+                job.slot.get_or_init(|| {
+                    let prelude = prelude.get_or_insert_with(|| preludes.parse(job.prelude));
+                    job.build(prelude, self.decode)
+                });
+            }
+            prelude.is_some()
+        });
+        let preludes_parsed = parsed.into_iter().filter(|&parsed| parsed).count() as u64;
         drop(preludes);
         for job in &jobs {
             let Some(Err(source)) = job.slot.get() else {
@@ -2167,6 +2207,115 @@ impl Campaign {
             cache_hits: report.cache_hits(),
         });
         Ok(report)
+    }
+
+    /// Plans the job list of `planned` on `workers` front-end threads.
+    /// Per env: the ES ROM source, the derivative model and the
+    /// content-key fingerprints, which depend on the derivative and ES
+    /// release but never on the target platform. Per (env, platform):
+    /// the ported abstraction layer's content keys and prelude key. A
+    /// serial pass then assigns build slots, planned hits, store lookups
+    /// and prelude slots in plan order, so the plan is the same for any
+    /// worker count.
+    fn plan(&self, planned: &[(ModuleTestEnv, Option<Arc<ScenarioMeta>>)], workers: usize) -> Plan {
+        let cache = self.cache;
+        let env_plans: Vec<EnvPlan<'_>> =
+            par_map(planned, workers, |(env, _)| EnvPlan::new(env, cache));
+        let ports: Vec<(usize, PlatformId)> = (0..planned.len())
+            .flat_map(|env| self.platforms.iter().map(move |&platform| (env, platform)))
+            .collect();
+        let port_plans: Vec<PortPlan> = par_map(&ports, workers, |&(env, platform)| {
+            PortPlan::new(&planned[env].0, &env_plans[env], platform)
+        });
+
+        let mut jobs: Vec<Job> = Vec::new();
+        // Local slot maps memoise one store lookup per distinct key per
+        // campaign, so the store's hit/miss counters measure *cross*-
+        // campaign reuse, never within-campaign re-requests.
+        let mut slots: HashMap<u64, (ImageSlot, bool)> = HashMap::new();
+        let mut es_slots: HashMap<u64, EsSlot> = HashMap::new();
+        // One prelude per distinct set of prelude inputs. Without the
+        // cache every job parses its own.
+        let mut preludes = Preludes::default();
+        let mut cache_hits = 0;
+        let mut artifact_hits: u64 = 0;
+        let store = self
+            .cache
+            .then_some(self.artifact_store.as_deref())
+            .flatten();
+        for (&(env_index, platform), port) in ports.iter().zip(port_plans) {
+            let (env, scenario) = &planned[env_index];
+            let plan = &env_plans[env_index];
+            let shared_es_slot = self.cache.then(|| {
+                Arc::clone(es_slots.entry(plan.es_key).or_insert_with(|| match store {
+                    Some(store) => store.es_slot(plan.es_key),
+                    None => EsSlot::default(),
+                }))
+            });
+            let fault = match self.fault {
+                Some((p, f)) if p == platform => f,
+                _ => PlatformFault::None,
+            };
+            // `Err`: no cache, so every job copies the sources into a
+            // slot of its own.
+            let shared_prelude = match port.prelude_key {
+                Some(key) => Ok(preludes.shared(key, || port.prelude)),
+                None => Err(port.prelude),
+            };
+            for (cell_idx, cell) in env.cells().iter().enumerate() {
+                let content_key = port.content_keys.get(cell_idx).copied();
+                let (slot, planned_hit) = match content_key {
+                    Some(key) => match slots.entry(key) {
+                        std::collections::hash_map::Entry::Occupied(e) => {
+                            // Within-campaign hit: keeps its
+                            // store-independent report semantics.
+                            cache_hits += 1;
+                            (Arc::clone(&e.get().0), true)
+                        }
+                        std::collections::hash_map::Entry::Vacant(e) => {
+                            // First job of this key: consult the
+                            // store (a hit there means another
+                            // campaign already built — or is
+                            // building — this image).
+                            let (slot, store_hit) = match store {
+                                Some(store) => store.image_slot(key),
+                                None => (ImageSlot::default(), false),
+                            };
+                            artifact_hits += u64::from(store_hit);
+                            let (slot, _) = e.insert((slot, store_hit));
+                            (Arc::clone(slot), store_hit)
+                        }
+                    },
+                    None => (Arc::default(), false),
+                };
+                jobs.push(Job {
+                    env_name: env.name().to_owned(),
+                    test_id: cell.id().to_owned(),
+                    platform,
+                    scenario: scenario.clone(),
+                    prelude: match &shared_prelude {
+                        Ok(slot) => *slot,
+                        Err(sources) => preludes.fresh(sources.clone()),
+                    },
+                    test_source: Arc::clone(&plan.tests[cell_idx]),
+                    es_source: Arc::clone(&plan.es_source),
+                    derivative: Arc::clone(&plan.derivative),
+                    fault,
+                    slot,
+                    // Without the cache every job assembles its own
+                    // ES ROM too, matching the pre-redesign baseline.
+                    es_slot: shared_es_slot.clone().unwrap_or_default(),
+                    planned_hit,
+                    content_key,
+                });
+            }
+        }
+        Plan {
+            jobs,
+            preludes,
+            cache_hits,
+            artifact_hits,
+        }
     }
 }
 
@@ -2809,6 +2958,105 @@ t_fail:
             other => panic!("expected Build error, got {other:?}"),
         }
         assert!(err.to_string().contains("PAGE/TEST_BROKEN"));
+    }
+
+    #[test]
+    fn image_bytes_outside_memory_are_a_build_error() {
+        // `.ORG 0x70000` lies in the gap between RAM and NVM: the unit
+        // links, but no platform could load it.
+        let e = env(vec![
+            passing_cell("TEST_A"),
+            TestCell::new(
+                "TEST_GAP",
+                "writes into unmapped memory",
+                ".INCLUDE Globals.inc\n_main:\n    RETURN\n.ORG 0x70000\n.WORD 1\n",
+            ),
+        ]);
+        for workers in [1, 8] {
+            let err = Campaign::new()
+                .env(e.clone())
+                .workers(workers)
+                .run()
+                .unwrap_err();
+            let CampaignError::Build {
+                env,
+                test_id,
+                platform,
+                source,
+            } = &err
+            else {
+                panic!("expected a build error, got {err:?}");
+            };
+            assert_eq!(
+                (env.as_str(), test_id.as_str(), *platform),
+                ("PAGE", "TEST_GAP", PlatformId::GoldenModel),
+                "workers={workers}"
+            );
+            assert!(source.to_string().contains("0x70000"), "{source}");
+        }
+    }
+
+    /// Everything planning decides for one job: its identity, planned
+    /// hit, content key, prelude slot and build group (the first job of
+    /// its image slot).
+    type JobPlan = (String, String, PlatformId, bool, Option<u64>, usize, usize);
+
+    fn plan_summary(campaign: &Campaign) -> Vec<JobPlan> {
+        let workers = if campaign.parallel_frontend {
+            campaign.workers
+        } else {
+            1
+        };
+        let plan = campaign.plan(&campaign.envs, workers);
+        let mut first_of: HashMap<*const OnceLock<Result<Prebuilt, AsmError>>, usize> =
+            HashMap::new();
+        plan.jobs
+            .iter()
+            .enumerate()
+            .map(|(index, job)| {
+                let group = *first_of.entry(Arc::as_ptr(&job.slot)).or_insert(index);
+                (
+                    job.env_name.clone(),
+                    job.test_id.clone(),
+                    job.platform,
+                    job.planned_hit,
+                    job.content_key,
+                    job.prelude,
+                    group,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn plan_is_schedule_independent_on_the_cold_port() {
+        let system = crate::presets::standard_system(crate::presets::default_config());
+        for derivative in DerivativeId::ALL {
+            let ported: Vec<ModuleTestEnv> = system
+                .iter()
+                .map(|env| {
+                    crate::porting::port_env(env, EnvConfig::new(derivative, env.config().platform))
+                        .env
+                })
+                .collect();
+            let summary = |workers: usize, parallel: bool| {
+                plan_summary(
+                    &Campaign::new()
+                        .envs(ported.iter().cloned())
+                        .artifact_store(Arc::new(ArtifactStore::default()))
+                        .workers(workers)
+                        .parallel_frontend(parallel),
+                )
+            };
+            let reference = summary(1, false);
+            assert_eq!(reference.len(), 180);
+            for (workers, parallel) in [(1, true), (2, false), (2, true), (8, false), (8, true)] {
+                assert!(
+                    reference == summary(workers, parallel),
+                    "{derivative}: workers={workers}, parallel front-end {parallel}"
+                );
+            }
+        }
     }
 
     #[test]

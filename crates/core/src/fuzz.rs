@@ -34,10 +34,10 @@ use advm_fuzz::{mine, FuzzProgram, ProgramSource, TraceAssertion};
 use advm_sim::{MmioTrace, Platform};
 use advm_soc::{Derivative, DerivativeId, EsVersion, PlatformId};
 
-use advm_asm::{AsmError, Image, Program};
+use advm_asm::{AsmError, Image, Prelude, Program};
 
 use crate::artifacts::ArtifactStore;
-use crate::build::{assemble_lean, es_rom_source, link_programs, Preludes};
+use crate::build::{assemble_lean, es_rom_source, link_programs, prelude_sources, Preludes};
 use crate::campaign::{
     default_workers, Campaign, CampaignError, CampaignReport, CheckerViolation, ObserverFactory,
     DEFAULT_MONITOR_CAPACITY,
@@ -375,6 +375,7 @@ impl Fuzz {
     /// distinct ES ROM assembled once per call.
     fn mine_for(&self, programs: &[FuzzProgram]) -> Result<Vec<TraceAssertion>, FuzzError> {
         let mut preludes = Preludes::default();
+        let mut parsed: HashMap<usize, Prelude> = HashMap::new();
         let mut es_roms: HashMap<(DerivativeId, EsVersion), Program> = HashMap::new();
         let mut traces = Vec::new();
         for program in programs {
@@ -385,8 +386,11 @@ impl Fuzz {
                     platform,
                     ..env.config()
                 });
-                let slot = preludes.shared(&ported);
-                let unit = preludes.assemble(slot, ported.cells()[0].source())?;
+                let slot = preludes.shared(Preludes::key(&ported), || prelude_sources(&ported));
+                let unit = parsed
+                    .entry(slot)
+                    .or_insert_with(|| preludes.parse(slot))
+                    .assemble(ported.cells()[0].source())?;
                 let config = ported.config();
                 let es = match es_roms.entry((config.derivative, config.es_version)) {
                     Entry::Occupied(es) => es.into_mut(),

@@ -37,8 +37,7 @@ use std::sync::Arc;
 
 use advm_asm::Image;
 use advm_isa::{decode, Insn};
-use advm_soc::memmap::{MemoryMap, NVM_SIZE, NVM_START, RAM_SIZE, RAM_START, ROM_SIZE, ROM_START};
-use advm_soc::RegionKind;
+use advm_soc::memmap::{NVM_SIZE, NVM_START, RAM_SIZE, RAM_START, ROM_SIZE, ROM_START};
 
 /// One predecoded word slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,35 +232,47 @@ impl DecodedProgram {
     /// [`crate::SocBus::load_image`]. Bytes outside ROM/RAM/NVM are
     /// skipped (they are not executable memory).
     pub fn from_image(image: &Image) -> Self {
-        let map = MemoryMap::sc88();
-        let mut entries = Vec::new();
-        let mut current: Option<(u32, [u8; 4], RegionKind)> = None;
-        let flush = |pending: &mut Option<(u32, [u8; 4], RegionKind)>,
-                     out: &mut Vec<(u32, Slot)>| {
-            if let Some((addr, bytes, _)) = pending.take() {
-                out.push((addr, Slot::of(u32::from_le_bytes(bytes))));
-            }
-        };
-        for (addr, byte) in image.iter() {
-            let word_addr = addr & !3;
-            let kind = match map.region_at(addr).map(|r| r.kind()) {
-                Some(kind @ (RegionKind::Rom | RegionKind::Ram | RegionKind::Nvm)) => kind,
-                _ => continue,
-            };
-            match &mut current {
-                Some((pending_addr, bytes, _)) if *pending_addr == word_addr => {
-                    bytes[(addr & 3) as usize] = byte;
+        let mut entries = Vec::with_capacity(image.len() / 4 + 1);
+        // A partially covered word waits here: the next run may fill
+        // more of it.
+        let mut partial: Option<(u32, [u8; 4])> = None;
+        for (base, bytes) in image.runs() {
+            let mut addr = base;
+            let mut rest = bytes;
+            while !rest.is_empty() {
+                let word_addr = addr & !3;
+                let lane = (addr & 3) as usize;
+                let take = rest.len().min(4 - lane);
+                let (head, tail) = rest.split_at(take);
+                // Region boundaries are word-aligned, so a word lies
+                // wholly inside or outside executable memory.
+                if let Some((region, _)) = ExecRegion::classify(word_addr) {
+                    match &mut partial {
+                        Some((at, word)) if *at == word_addr => {
+                            word[lane..lane + take].copy_from_slice(head);
+                        }
+                        _ => {
+                            if let Some((at, word)) = partial.take() {
+                                entries.push((at, Slot::of(u32::from_le_bytes(word))));
+                            }
+                            let fill = if region == ExecRegion::Nvm { 0xFF } else { 0 };
+                            let mut word = [fill; 4];
+                            word[lane..lane + take].copy_from_slice(head);
+                            if take == 4 {
+                                entries.push((word_addr, Slot::of(u32::from_le_bytes(word))));
+                            } else {
+                                partial = Some((word_addr, word));
+                            }
+                        }
+                    }
                 }
-                _ => {
-                    flush(&mut current, &mut entries);
-                    let fill = if kind == RegionKind::Nvm { 0xFF } else { 0 };
-                    let mut bytes = [fill; 4];
-                    bytes[(addr & 3) as usize] = byte;
-                    current = Some((word_addr, bytes, kind));
-                }
+                addr += take as u32;
+                rest = tail;
             }
         }
-        flush(&mut current, &mut entries);
+        if let Some((at, word)) = partial {
+            entries.push((at, Slot::of(u32::from_le_bytes(word))));
+        }
         Self { entries }
     }
 
@@ -292,20 +303,86 @@ const BLOCK_UNKNOWN: u32 = 0;
 const BLOCK_NONE: u32 = 1;
 const BLOCK_BASE: u32 = 2;
 
-/// The per-bus decode cache: one lazily allocated slot array per
-/// executable region, the superblock tier built over those slots, plus
-/// the run's [`DecodeStats`].
+/// Entries per reset chunk of a [`RegionTable`].
+const RESET_CHUNK: usize = 64;
+
+/// One region's slot table or block map. It is allocated on first use
+/// and then kept for the life of the cache: a reset refills only the
+/// [`RESET_CHUNK`]-entry chunks written since the last reset, so an
+/// image load costs what the previous run touched, not the region size.
+#[derive(Debug, Clone)]
+struct RegionTable<T> {
+    entries: Vec<T>,
+    /// One bit per chunk that may hold an entry other than the empty
+    /// value. Hits never write, so they never mark.
+    written: Vec<u64>,
+    /// Whether the table was opened since the last reset. A cold region
+    /// counts no invalidation and has no blocks to scan.
+    live: bool,
+}
+
+impl<T> Default for RegionTable<T> {
+    fn default() -> Self {
+        Self {
+            entries: Vec::new(),
+            written: Vec::new(),
+            live: false,
+        }
+    }
+}
+
+impl<T: Copy> RegionTable<T> {
+    /// Makes the table live, allocating `len` `empty` entries on first
+    /// use.
+    fn open(&mut self, len: usize, empty: T) {
+        if !self.live {
+            if self.entries.is_empty() {
+                self.entries = vec![empty; len];
+                self.written = vec![0; len.div_ceil(RESET_CHUNK * 64)];
+            }
+            self.live = true;
+        }
+    }
+
+    /// Writes one entry of a live table, marking its chunk.
+    fn set(&mut self, idx: usize, value: T) {
+        self.entries[idx] = value;
+        let chunk = idx / RESET_CHUNK;
+        self.written[chunk / 64] |= 1 << (chunk % 64);
+    }
+
+    /// Refills every written chunk with `empty`; the table goes cold.
+    fn reset(&mut self, empty: T) {
+        for (word, bits) in self.written.iter_mut().enumerate() {
+            while *bits != 0 {
+                let chunk = word * 64 + bits.trailing_zeros() as usize;
+                *bits &= *bits - 1;
+                let start = chunk * RESET_CHUNK;
+                let end = (start + RESET_CHUNK).min(self.entries.len());
+                self.entries[start..end].fill(empty);
+            }
+        }
+        self.live = false;
+    }
+}
+
+/// The per-bus decode cache: one slot table per executable region, the
+/// superblock tier built over those slots, plus the run's
+/// [`DecodeStats`].
+///
+/// Every table is allocated on first use and kept across image loads,
+/// restores and enable toggles; those reset only the chunks a run
+/// wrote. The counters do not see the difference: a region counts as
+/// live from its first use until the next reset, exactly as when each
+/// reset freed the tables.
 #[derive(Debug, Clone)]
 pub(crate) struct DecodeCache {
-    rom: Vec<Slot>,
-    ram: Vec<Slot>,
-    nvm: Vec<Slot>,
-    /// Per-region block map, lazily allocated like the slot arrays:
-    /// indexed by start word, [`BLOCK_UNKNOWN`]/[`BLOCK_NONE`] sentinels
-    /// or an arena id + [`BLOCK_BASE`].
-    rom_blocks: Vec<u32>,
-    ram_blocks: Vec<u32>,
-    nvm_blocks: Vec<u32>,
+    /// Word slots, indexed by [`ExecRegion`].
+    slots: [RegionTable<Slot>; 3],
+    /// Block maps, indexed by [`ExecRegion`] and then by start word:
+    /// [`BLOCK_UNKNOWN`]/[`BLOCK_NONE`] sentinels or an arena id +
+    /// [`BLOCK_BASE`].
+    block_maps: [RegionTable<u32>; 3],
     /// Shared-ownership block storage; freed ids are recycled.
     arena: Vec<Option<Arc<Superblock>>>,
     free: Vec<u32>,
@@ -322,12 +399,8 @@ pub(crate) struct DecodeCache {
 impl Default for DecodeCache {
     fn default() -> Self {
         Self {
-            rom: Vec::new(),
-            ram: Vec::new(),
-            nvm: Vec::new(),
-            rom_blocks: Vec::new(),
-            ram_blocks: Vec::new(),
-            nvm_blocks: Vec::new(),
+            slots: Default::default(),
+            block_maps: Default::default(),
             arena: Vec::new(),
             free: Vec::new(),
             generation: 0,
@@ -362,6 +435,15 @@ impl ExecRegion {
             None
         }
     }
+
+    /// The region's size in words.
+    fn words(self) -> usize {
+        match self {
+            ExecRegion::Rom => ROM_WORDS,
+            ExecRegion::Ram => RAM_WORDS,
+            ExecRegion::Nvm => NVM_WORDS,
+        }
+    }
 }
 
 impl DecodeCache {
@@ -371,9 +453,9 @@ impl DecodeCache {
     pub(crate) fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
         if !enabled {
-            self.rom.clear();
-            self.ram.clear();
-            self.nvm.clear();
+            for slots in &mut self.slots {
+                slots.reset(Slot::Unknown);
+            }
             self.drop_all_blocks();
         }
     }
@@ -398,9 +480,9 @@ impl DecodeCache {
     }
 
     fn drop_all_blocks(&mut self) {
-        self.rom_blocks.clear();
-        self.ram_blocks.clear();
-        self.nvm_blocks.clear();
+        for map in &mut self.block_maps {
+            map.reset(BLOCK_UNKNOWN);
+        }
         self.arena.clear();
         self.free.clear();
         self.generation = self.generation.wrapping_add(1);
@@ -411,22 +493,6 @@ impl DecodeCache {
     /// valid exactly while this is unchanged.
     pub(crate) fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// The slot array and word count of one region. A macro-free free
-    /// function keeps the borrow of the slot vector disjoint from the
-    /// stats counters.
-    fn region_of<'a>(
-        rom: &'a mut Vec<Slot>,
-        ram: &'a mut Vec<Slot>,
-        nvm: &'a mut Vec<Slot>,
-        region: ExecRegion,
-    ) -> (&'a mut Vec<Slot>, usize) {
-        match region {
-            ExecRegion::Rom => (rom, ROM_WORDS),
-            ExecRegion::Ram => (ram, RAM_WORDS),
-            ExecRegion::Nvm => (nvm, NVM_WORDS),
-        }
     }
 
     /// Fetches through the cache: `mem` is the region's backing array,
@@ -443,17 +509,12 @@ impl DecodeCache {
             let word = word_at(mem, idx);
             return (word, decode(word).ok());
         }
-        let (slots, words) = Self::region_of(&mut self.rom, &mut self.ram, &mut self.nvm, region);
-        if slots.is_empty() {
-            // `resize` re-fills in place: invalidation `clear`s but
-            // keeps capacity, so steady-state refills never re-allocate
-            // the region's slot table.
-            slots.resize(words, Slot::Unknown);
-        }
-        let slot = match slots[idx] {
+        let slots = &mut self.slots[region as usize];
+        slots.open(region.words(), Slot::Unknown);
+        let slot = match slots.entries[idx] {
             Slot::Unknown => {
                 let fresh = Slot::of(word_at(mem, idx));
-                slots[idx] = fresh;
+                slots.set(idx, fresh);
                 self.stats.misses += 1;
                 fresh
             }
@@ -466,21 +527,6 @@ impl DecodeCache {
             Slot::Insn { word, insn } => (word, Some(insn)),
             Slot::Illegal { word } => (word, None),
             Slot::Unknown => unreachable!("slot was just filled"),
-        }
-    }
-
-    /// The block-map array and word count of one region (same disjoint
-    /// borrow trick as [`DecodeCache::region_of`]).
-    fn block_map_of<'a>(
-        rom: &'a mut Vec<u32>,
-        ram: &'a mut Vec<u32>,
-        nvm: &'a mut Vec<u32>,
-        region: ExecRegion,
-    ) -> (&'a mut Vec<u32>, usize) {
-        match region {
-            ExecRegion::Rom => (rom, ROM_WORDS),
-            ExecRegion::Ram => (ram, RAM_WORDS),
-            ExecRegion::Nvm => (nvm, NVM_WORDS),
         }
     }
 
@@ -503,19 +549,10 @@ impl DecodeCache {
         if excluded.is_some_and(|(lo, hi)| idx >= lo && idx < hi) {
             return None;
         }
-        let entry = {
-            let (map, words) = Self::block_map_of(
-                &mut self.rom_blocks,
-                &mut self.ram_blocks,
-                &mut self.nvm_blocks,
-                region,
-            );
-            if map.is_empty() {
-                map.resize(words, BLOCK_UNKNOWN);
-            }
-            map[idx]
-        };
-        match entry {
+        let words = region.words();
+        let map = &mut self.block_maps[region as usize];
+        map.open(words, BLOCK_UNKNOWN);
+        match map.entries[idx] {
             BLOCK_UNKNOWN => {}
             BLOCK_NONE => return None,
             id => return self.arena[(id - BLOCK_BASE) as usize].clone(),
@@ -524,43 +561,35 @@ impl DecodeCache {
         // cold ones silently — the dispatch accounts the fetches, the
         // build only materialises the chain.
         let mut insns: Vec<Insn> = Vec::new();
-        {
-            let (slots, words) =
-                Self::region_of(&mut self.rom, &mut self.ram, &mut self.nvm, region);
-            if slots.is_empty() {
-                slots.resize(words, Slot::Unknown);
-            }
-            let mut cap = (idx + MAX_BLOCK_WORDS).min(words);
-            if let Some((lo, _)) = excluded {
-                if idx < lo {
-                    cap = cap.min(lo);
-                }
-            }
-            for (at, slot) in slots.iter_mut().enumerate().take(cap).skip(idx) {
-                if *slot == Slot::Unknown {
-                    *slot = Slot::of(word_at(mem, at));
-                }
-                let Slot::Insn { insn, .. } = *slot else {
-                    break;
-                };
-                match block_role(&insn) {
-                    BlockRole::Pure => insns.push(insn),
-                    BlockRole::Terminator => {
-                        insns.push(insn);
-                        break;
-                    }
-                    BlockRole::Stop => break,
-                }
+        let slots = &mut self.slots[region as usize];
+        slots.open(words, Slot::Unknown);
+        let mut cap = (idx + MAX_BLOCK_WORDS).min(words);
+        if let Some((lo, _)) = excluded {
+            if idx < lo {
+                cap = cap.min(lo);
             }
         }
+        for at in idx..cap {
+            let mut slot = slots.entries[at];
+            if slot == Slot::Unknown {
+                slot = Slot::of(word_at(mem, at));
+                slots.set(at, slot);
+            }
+            let Slot::Insn { insn, .. } = slot else {
+                break;
+            };
+            match block_role(&insn) {
+                BlockRole::Pure => insns.push(insn),
+                BlockRole::Terminator => {
+                    insns.push(insn);
+                    break;
+                }
+                BlockRole::Stop => break,
+            }
+        }
+        let map = &mut self.block_maps[region as usize];
         if insns.is_empty() {
-            let (map, _) = Self::block_map_of(
-                &mut self.rom_blocks,
-                &mut self.ram_blocks,
-                &mut self.nvm_blocks,
-                region,
-            );
-            map[idx] = BLOCK_NONE;
+            map.set(idx, BLOCK_NONE);
             return None;
         }
         let block = Arc::new(Superblock {
@@ -577,13 +606,7 @@ impl DecodeCache {
             }
         };
         self.stats.blocks_built += 1;
-        let (map, _) = Self::block_map_of(
-            &mut self.rom_blocks,
-            &mut self.ram_blocks,
-            &mut self.nvm_blocks,
-            region,
-        );
-        map[idx] = id + BLOCK_BASE;
+        map.set(idx, id + BLOCK_BASE);
         Some(block)
     }
 
@@ -602,18 +625,14 @@ impl DecodeCache {
     /// A block starting at `j` covers at most `j + MAX_BLOCK_WORDS`
     /// words, so the back-scan window is bounded.
     fn drop_blocks_touching(&mut self, region: ExecRegion, start: usize, end: usize) {
-        let map = match region {
-            ExecRegion::Rom => &mut self.rom_blocks,
-            ExecRegion::Ram => &mut self.ram_blocks,
-            ExecRegion::Nvm => &mut self.nvm_blocks,
-        };
-        if map.is_empty() {
+        let map = &mut self.block_maps[region as usize];
+        if !map.live {
             return;
         }
         self.generation = self.generation.wrapping_add(1);
         let lo = start.saturating_sub(MAX_BLOCK_WORDS - 1);
-        let hi = end.min(map.len());
-        for (j, entry) in map.iter_mut().enumerate().take(hi).skip(lo) {
+        let hi = end.min(map.entries.len());
+        for (j, entry) in map.entries.iter_mut().enumerate().take(hi).skip(lo) {
             if *entry == BLOCK_UNKNOWN {
                 continue;
             }
@@ -635,9 +654,9 @@ impl DecodeCache {
 
     /// Invalidates one word slot (no-op while the region is cold).
     fn invalidate_word_slot(&mut self, region: ExecRegion, idx: usize) {
-        let (slots, _) = Self::region_of(&mut self.rom, &mut self.ram, &mut self.nvm, region);
-        if !slots.is_empty() && slots[idx] != Slot::Unknown {
-            slots[idx] = Slot::Unknown;
+        let slots = &mut self.slots[region as usize];
+        if slots.live && slots.entries[idx] != Slot::Unknown {
+            slots.entries[idx] = Slot::Unknown;
             self.stats.invalidations += 1;
         }
     }
@@ -658,12 +677,12 @@ impl DecodeCache {
     }
 
     /// Drops every slot and block (image load replaces backing memory
-    /// wholesale).
+    /// wholesale). Counts one invalidation per live region.
     pub(crate) fn invalidate_all(&mut self) {
-        for slots in [&mut self.rom, &mut self.ram, &mut self.nvm] {
-            if !slots.is_empty() {
+        for slots in &mut self.slots {
+            if slots.live {
                 self.stats.invalidations += 1;
-                slots.clear();
+                slots.reset(Slot::Unknown);
             }
         }
         let live = self.arena.iter().filter(|e| e.is_some()).count() as u64;
@@ -715,12 +734,9 @@ impl DecodeCache {
             let Some((region, idx)) = ExecRegion::classify(addr) else {
                 continue;
             };
-            let (slots, words) =
-                Self::region_of(&mut self.rom, &mut self.ram, &mut self.nvm, region);
-            if slots.is_empty() {
-                slots.resize(words, Slot::Unknown);
-            }
-            slots[idx] = slot;
+            let slots = &mut self.slots[region as usize];
+            slots.open(region.words(), Slot::Unknown);
+            slots.set(idx, slot);
             self.stats.preloaded += 1;
         }
     }
@@ -752,6 +768,97 @@ mod tests {
                 word: encode(&Insn::Nop),
                 insn: Insn::Nop
             }
+        );
+    }
+
+    /// The byte-at-a-time walk `from_image` replaced: one region lookup
+    /// per loaded byte.
+    fn from_image_bytewise(image: &Image) -> Vec<(u32, Slot)> {
+        use advm_soc::memmap::MemoryMap;
+        use advm_soc::RegionKind;
+        let map = MemoryMap::sc88();
+        let mut entries = Vec::new();
+        let mut current: Option<(u32, [u8; 4])> = None;
+        for (addr, byte) in image.iter() {
+            let kind = match map.region_at(addr).map(|r| r.kind()) {
+                Some(kind @ (RegionKind::Rom | RegionKind::Ram | RegionKind::Nvm)) => kind,
+                _ => continue,
+            };
+            match &mut current {
+                Some((word_addr, bytes)) if *word_addr == addr & !3 => {
+                    bytes[(addr & 3) as usize] = byte;
+                }
+                _ => {
+                    if let Some((at, bytes)) = current.take() {
+                        entries.push((at, Slot::of(u32::from_le_bytes(bytes))));
+                    }
+                    let fill = if kind == RegionKind::Nvm { 0xFF } else { 0 };
+                    let mut bytes = [fill; 4];
+                    bytes[(addr & 3) as usize] = byte;
+                    current = Some((addr & !3, bytes));
+                }
+            }
+        }
+        if let Some((at, bytes)) = current {
+            entries.push((at, Slot::of(u32::from_le_bytes(bytes))));
+        }
+        entries
+    }
+
+    /// An image with one separately loaded program per run.
+    fn image_of(runs: &[(u32, &[u8])]) -> Image {
+        let mut image = Image::new();
+        for &(base, bytes) in runs {
+            let list: Vec<String> = bytes.iter().map(u8::to_string).collect();
+            let source = format!(".ORG 0x{base:X}\n.BYTE {}\n", list.join(", "));
+            image
+                .load_program(&advm_asm::assemble_str(&source).unwrap())
+                .unwrap();
+        }
+        image
+    }
+
+    #[test]
+    fn word_walk_predecodes_like_the_byte_walk() {
+        let nop = encode(&Insn::Nop).to_le_bytes();
+        let halt = encode(&Insn::Halt { code: 3 }).to_le_bytes();
+        let code: Vec<u8> = nop.iter().chain(&halt).chain(&nop).copied().collect();
+        let cases: Vec<Vec<(u32, &[u8])>> = vec![
+            // Aligned whole words.
+            vec![(0x100, &code)],
+            // Unaligned start and end.
+            vec![(0x101, &code), (0x4_0003, &code[..6])],
+            // Two runs sharing one word: bytes 0..2 and 3 of 0x200.
+            vec![(0x200, &halt[..2]), (0x203, &halt[3..])],
+            // A run ending mid-word, the next starting in the word after.
+            vec![(0x300, &code[..5]), (0x306, &code[..3])],
+            // Partial NVM words: the missing bytes read erased (0xFF).
+            vec![(NVM_START + 1, &[0x01]), (NVM_START + 6, &nop[..1])],
+            // A run crossing from ROM into RAM.
+            vec![(ROM_START + ROM_SIZE - 6, &code)],
+            // Bytes outside executable memory (the RAM/NVM gap, MMIO) are
+            // skipped, also inside a run that starts in RAM.
+            vec![(RAM_START + RAM_SIZE - 2, &code), (0xE_0100, &code)],
+            vec![(NVM_START + NVM_SIZE - 3, &code)],
+        ];
+        for runs in cases {
+            let image = image_of(&runs);
+            assert_eq!(
+                DecodedProgram::from_image(&image).entries(),
+                from_image_bytewise(&image).as_slice(),
+                "{runs:x?}"
+            );
+        }
+        // And a whole assembled unit with its ES ROM segment.
+        let program = advm_asm::assemble_str(
+            "_main:\n    NOP\n    HALT #3\n.ORG 0x2001\n.BYTE 7\n.ORG 0x40000\n.WORD 5\n",
+        )
+        .unwrap();
+        let mut image = Image::new();
+        image.load_program(&program).unwrap();
+        assert_eq!(
+            DecodedProgram::from_image(&image).entries(),
+            from_image_bytewise(&image).as_slice()
         );
     }
 

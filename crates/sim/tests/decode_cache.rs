@@ -324,3 +324,143 @@ fn preloaded_artifact_starts_hot() {
     assert_eq!(result.decode.hits, result.insns);
     assert_stats_consistent(&result);
 }
+
+/// How one run configures the decode tiers.
+#[derive(Debug, Clone, Copy)]
+struct Tiers {
+    cache: bool,
+    blocks: bool,
+}
+
+const TIERS: [Tiers; 3] = [
+    Tiers {
+        cache: true,
+        blocks: true,
+    },
+    Tiers {
+        cache: true,
+        blocks: false,
+    },
+    Tiers {
+        cache: false,
+        blocks: false,
+    },
+];
+
+/// Loads `img` the way a campaign worker does: with its predecode
+/// artifact when the cache is on, bare when it is off.
+fn load_with(platform: &mut Platform, img: &Image, tiers: Tiers) {
+    platform.set_fuel(20_000);
+    platform.set_decode_cache(tiers.cache);
+    platform.set_superblocks(tiers.blocks);
+    if tiers.cache {
+        platform.load_prebuilt(img, &DecodedProgram::from_image(img));
+    } else {
+        platform.load_image(img);
+    }
+}
+
+#[test]
+fn reused_machine_decodes_like_a_fresh_one() {
+    // A: a hot loop (one superblock), a routine it writes into RAM at
+    // run time (decoded on a miss), a block alone in its 64-word chunk
+    // at 0x10F8, a HALT alone in its chunk at 0x1200 (a failed block
+    // build) and a routine at the start of NVM. B: smaller, the same
+    // loop with a different count and step (overlapping words that
+    // differ, and words that agree), then a call into that RAM, a jump
+    // to 0x10F8 and a call into NVM, all of which B leaves pristine
+    // (zero, zero, erased), and a block of its own at 0x1200. A stale
+    // slot or block from A would run A's code there instead, and a
+    // stale failed build would keep B's block from forming.
+    let load7 = encode(&Insn::MovI {
+        rd: advm_isa::DataReg::D7,
+        imm: 7,
+    });
+    let ret = encode(&Insn::Ret);
+    let a = image(&format!(
+        "\
+RAM_CODE .EQU 0x50000
+_main:
+    LOAD d1, #100
+loop:
+    SUB d1, d1, #1
+    CMP d1, #0
+    JNE loop
+    LOAD a4, #RAM_CODE
+    LOAD d1, #0x{load7:X}
+    STORE [a4], d1
+    LOAD d1, #0x{ret:X}
+    STORE [a4 + 4], d1
+    CALL a4
+    CALL side
+    JMP far
+.ORG 0x10F8
+far:
+    LOAD d2, #5
+    JMP done
+.ORG 0x1200
+done:
+    HALT #0
+.ORG 0x80000
+side:
+    LOAD d7, #7
+    RETURN
+"
+    ));
+    let b = image(
+        "\
+RAM_CODE .EQU 0x50000
+FAR .EQU 0x10F8
+DONE .EQU 0x1200
+SIDE .EQU 0x80000
+_main:
+    LOAD d1, #4
+loop:
+    SUB d1, d1, #2
+    CMP d1, #0
+    JNE loop
+    LOAD a4, #RAM_CODE
+    CALL a4
+    JMP FAR
+.ORG 0x1100
+    JMP DONE
+.ORG 0x1200
+    LOAD d3, #1
+    CALL SIDE
+    HALT #1
+.ORG 0x50008
+    RETURN
+",
+    );
+    let derivative = Derivative::sc88a();
+    for id in PlatformId::ALL {
+        for a_tiers in TIERS {
+            for b_tiers in TIERS {
+                let mut fresh = Platform::new(id, &derivative);
+                load_with(&mut fresh, &b, b_tiers);
+                let expected = fresh.run();
+
+                let mut reused = Platform::new(id, &derivative);
+                let pristine = reused.snapshot();
+                load_with(&mut reused, &a, a_tiers);
+                let first = reused.run();
+                if a_tiers.blocks {
+                    assert!(first.decode.blocks_built > 0, "{id}: {:?}", first.decode);
+                }
+                reused.restore_pristine(&pristine).unwrap();
+                load_with(&mut reused, &b, b_tiers);
+                let second = reused.run();
+                let case = format!("{id}: A {a_tiers:?}, then B {b_tiers:?}");
+                assert_eq!(second, expected, "{case}");
+                assert_eq!(reused.state_digest(), fresh.state_digest(), "{case}");
+                if b_tiers.cache && !b_tiers.blocks {
+                    // The erased NVM word is outside B's artifact: its
+                    // fetch decodes from memory. (With blocks on, the
+                    // failed block build decodes it silently first.)
+                    assert!(second.decode.misses > 0, "{case}: {:?}", second.decode);
+                }
+                assert_stats_consistent(&second);
+            }
+        }
+    }
+}

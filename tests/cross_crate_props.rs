@@ -4,12 +4,13 @@
 use std::sync::Arc;
 
 use advm::audit::FaultAudit;
-use advm::campaign::Campaign;
+use advm::campaign::{Campaign, CampaignEvent, EventLog};
 use advm::env::{EnvConfig, ModuleTestEnv, TestCell};
 use advm::porting::{port_env, test_files_touched};
 use advm::prefix::PrefixPool;
-use advm::presets::{default_config, page_env, uart_env};
+use advm::presets::{default_config, page_env, standard_system, uart_env};
 use advm::testplan::Testplan;
+use advm::ArtifactStore;
 use advm_gen::{
     ConstrainedRandom, CoverageDirected, CoverageFeedback, GlobalsConstraints, ScenarioEngine,
     ScenarioSource, StimulusPlan,
@@ -470,6 +471,65 @@ fn parallel_frontend_is_schedule_independent() {
         );
     }
 
+    // The benchmark's cold port: the standard system ported to one
+    // derivative, all six platforms, on an empty artifact store. Planning
+    // and building both run on the front-end workers; the job order,
+    // planned hits, build count, prelude parses, event stream and
+    // report must not depend on that.
+    let system = standard_system(default_config());
+    for derivative in DerivativeId::ALL {
+        let ported: Vec<ModuleTestEnv> = system
+            .iter()
+            .map(|env| port_env(env, EnvConfig::new(derivative, env.config().platform)).env)
+            .collect();
+        let port = |workers: usize, parallel: bool| {
+            let log = EventLog::new();
+            let report = Campaign::new()
+                .envs(ported.iter().cloned())
+                .artifact_store(Arc::new(ArtifactStore::default()))
+                .workers(workers)
+                .parallel_frontend(parallel)
+                .observe(log.clone())
+                .run()
+                .expect("the standard system builds");
+            // Only `Started` names the worker count.
+            let events: Vec<String> = log
+                .events()
+                .into_iter()
+                .map(|event| match event {
+                    CampaignEvent::Started {
+                        jobs,
+                        unique_builds,
+                        ..
+                    } => CampaignEvent::Started {
+                        jobs,
+                        unique_builds,
+                        workers: 0,
+                    },
+                    other => other,
+                })
+                .map(|event| event.to_json())
+                .collect();
+            (
+                report.unique_builds(),
+                report.cache_hits(),
+                report.perf().preludes,
+                events,
+                strip_perf(&report.to_json()),
+            )
+        };
+        let reference = port(1, false);
+        if derivative == DerivativeId::Sc88A {
+            assert_eq!((reference.0, reference.2), (151, 26), "cold port of SC88-A");
+        }
+        for (workers, parallel) in [(1, true), (2, false), (2, true), (8, false), (8, true)] {
+            assert!(
+                reference == port(workers, parallel),
+                "{derivative}: workers={workers}, parallel front-end {parallel}"
+            );
+        }
+    }
+
     // Two malformed cells in different envs: if attribution followed
     // build completion order, racing workers could report either one.
     let broken: Vec<ModuleTestEnv> = [("ALPHA", 1usize), ("BETA", 3)]
@@ -511,7 +571,11 @@ fn parallel_frontend_is_schedule_independent() {
         }
     };
     let reference = fail(1, false);
-    for workers in [1usize, 8] {
-        assert_eq!(reference, fail(workers, true), "workers={workers}");
+    for (workers, parallel) in [(1, true), (2, false), (2, true), (8, false), (8, true)] {
+        assert_eq!(
+            reference,
+            fail(workers, parallel),
+            "workers={workers}, parallel front-end {parallel}"
+        );
     }
 }
